@@ -3,6 +3,7 @@ processes, with independent oracles, identity verifiers, and matching
 experiments on the line."""
 
 from .closed_forms import (
+    CrossCheckError,
     MomentQuery,
     MomentValue,
     diagonal_moment,
@@ -13,7 +14,7 @@ from .closed_forms import (
     odd_moment_theorem4,
     sum_moments,
 )
-from .exact_arith import GammaFactor, HalfInt, Rat, binomial, factorial, gamma_half, gamma_ratio, pochhammer
+from .exact_arith import Rat, binomial, factorial, pochhammer
 from .matching_lab import (
     MatchingRun,
     ScalingFit,

@@ -6,8 +6,9 @@ stdout as text, JSON, or CSV; diagnostics go to stderr.  Exit codes:
 cross-check mismatch.
 
 Rationals are always emitted losslessly as numerator/denominator
-strings; decimal renderings are labeled approximate.  Column layouts
-for CSV are documented in docs/formats.md.
+strings, however many digits they have; decimal renderings are labeled
+approximate and are null when the value is outside float range.
+Column layouts for CSV are documented in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -37,8 +38,12 @@ def _fmt_float(x: float) -> str:
 
 
 def _rat_fields(q: Rat) -> dict:
+    try:
+        approx = float(q)
+    except OverflowError:
+        approx = None
     return {"num": str(q.numerator), "den": str(q.denominator),
-            "approx": float(q)}
+            "approx": approx}
 
 
 def _default_seed() -> int:
@@ -52,6 +57,16 @@ def _positive_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
     if value <= 0:
         raise argparse.ArgumentTypeError(f"must be positive: {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
     return value
 
 
@@ -78,7 +93,9 @@ def _text_lines(record: dict):
         yield f"  {key} = {value}"
     for key, value in record["results"].items():
         if isinstance(value, dict) and "num" in value:
-            yield f"  {key} = {value['num']}/{value['den']} (approx {_fmt_float(value['approx'])})"
+            approx = ("" if value["approx"] is None
+                      else f" (approx {_fmt_float(value['approx'])})")
+            yield f"  {key} = {value['num']}/{value['den']}{approx}"
         else:
             yield f"  {key} = {value}"
     yield f"  timing_ms = {record['timing_ms']:.3f}"
@@ -231,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "scaling experiments.")
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="text")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="reserved; results never depend on it")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("moment", help="exact moment E|X_{k+r} - Y_k|^a")
@@ -255,9 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", choices=("all",) + identities.SUITES,
                    default="all")
-    p.add_argument("--max-a", type=int, default=None)
-    p.add_argument("--max-k", type=int, default=None)
-    p.add_argument("--max-n", type=int, default=None)
+    p.add_argument("--max-a", type=_positive_int, default=None)
+    p.add_argument("--max-k", type=_positive_int, default=None)
+    p.add_argument("--max-n", type=_positive_int, default=None)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", help="Monte Carlo moment estimate")
@@ -282,11 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact results may run to any number of digits; num/den carry them all.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     if getattr(args, "seed", None) is None and hasattr(args, "seed"):
         args.seed = _default_seed()
     try:
         return args.func(args)
+    except closed_forms.CrossCheckError as exc:
+        print(f"cross-check mismatch: {exc}", file=sys.stderr)
+        return EXIT_CROSS_CHECK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

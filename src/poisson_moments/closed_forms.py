@@ -3,26 +3,18 @@ processes, evaluated exactly.
 
 Several independent expressions are provided for the same quantity (a
 parity-split elementary form, a simplified two-term form, a
-Gamma/Pochhammer form, and a diagonal Gamma-ratio formula); they must
+Pochhammer form, and a diagonal Pochhammer-quotient formula); they must
 agree exactly, and the cross-checks in the test suite rely on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact_arith import (
-    HalfInt,
-    Rat,
-    binomial,
-    factorial,
-    gamma_half,
-    gamma_ratio,
-    pochhammer,
-)
+from .exact_arith import Rat, binomial, factorial, pochhammer
 
 __all__ = [
+    "CrossCheckError",
     "MomentQuery",
     "MomentValue",
     "even_moment_general",
@@ -33,6 +25,10 @@ __all__ = [
     "moment",
     "sum_moments",
 ]
+
+
+class CrossCheckError(Exception):
+    """Two closed forms of the same moment disagree: an internal bug."""
 
 
 @dataclass(frozen=True)
@@ -100,13 +96,13 @@ def even_moment_general(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentVal
 def diagonal_moment(k: int, a: int, lam: Rat | int = 1) -> MomentValue:
     """E|X_k - Y_k|^a = (a!/lambda^a) Gamma(a/2+k)/(Gamma(k) Gamma(a/2+1)).
 
-    Valid for both parities of a; for odd a the sqrt(pi) factors of the
-    two half-integer Gamma values cancel exactly.
+    Valid for both parities of a: the Gamma ratio is the Pochhammer
+    quotient (a/2+1)_{k-1} / (k-1)!, a plain rational.
     """
     if k < 1 or a < 1:
         raise ValueError("k and a must be >= 1")
-    ratio = gamma_ratio(HalfInt.halves(a) + k, HalfInt.whole(k))
-    normalized = (ratio / gamma_half(HalfInt.halves(a) + 1)).as_rat() * factorial(a)
+    normalized = (factorial(a) * pochhammer(Rat(a, 2) + 1, k - 1)
+                  / factorial(k - 1))
     return MomentValue.from_normalized(normalized, Rat(lam), a)
 
 
@@ -149,33 +145,31 @@ def odd_moment_lemma3(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentValue
 
 
 def odd_moment_theorem4(k: int, r: int, a: int, lam: Rat | int = 1) -> MomentValue:
-    """E|X_{k+r} - Y_k|^a for odd a, via the Gamma/Pochhammer form."""
+    """E|X_{k+r} - Y_k|^a for odd a, via the Pochhammer form."""
     _require_parity(a, want_odd=True, who="odd_moment_theorem4")
     if k < 1 or r < 0:
         raise ValueError("k must be >= 1 and r >= 0")
-    half = HalfInt.halves(1)
 
-    # Gamma(k+1/2) / (Gamma(1/2) Gamma(k+1)) — a plain rational.
-    pref1 = (gamma_ratio(half + k, half)
-             / gamma_half(HalfInt.whole(k + 1))).as_rat()
-    geo = Rat(0)
+    # Gamma(k+1/2) / (Gamma(1/2) Gamma(k+1)) = (1/2)_k / k!.
+    pref1 = pochhammer(Rat(1, 2), k) / factorial(k)
+    # sum_l (2k)_l / ((k+1)_l 2^l); term l+1 is term l times (2k+l)/(2(k+1+l)).
+    geo, term = Rat(0), Rat(1)
     for l in range(r + a):
-        geo += pochhammer(2 * k, l) / (pochhammer(k + 1, l) * Rat(2) ** l)
+        geo += term
+        term *= Rat(2 * k + l, 2 * (k + 1 + l))
     first = pref1 * geo * _signed_sum(k + r, k, a)
 
-    # Gamma(a/2+k) / (Gamma(1/2) Gamma(k)) — sqrt(pi) cancels for odd a.
-    pref2 = (gamma_ratio(HalfInt.halves(a) + k, HalfInt.whole(k))
-             / gamma_half(half)).as_rat()
-    tail = Rat(0)
+    # Gamma(a/2+k) / (Gamma(1/2) Gamma(k)) = (1/2)_{k+(a-1)/2} / (k-1)!.
+    pref2 = pochhammer(Rat(1, 2), k + (a - 1) // 2) / factorial(k - 1)
+    # The inner sum over j <= l is a prefix sum, carried across l.
+    tail, inner = Rat(0), Rat(0)
     for l in range(a):
-        inner = Rat(0)
-        for j in range(l + 1):
-            inner += (binomial(a, j) * (-1) ** j
-                      * pochhammer(k + r, j) * pochhammer(k, a - j))
-        tail += (inner * pochhammer(k, (a + 1) // 2) * pochhammer(2 * k + a, r)
-                 / (pochhammer(k, r + l + 1) * pochhammer(k, a - l)))
+        inner += (binomial(a, l) * (-1) ** l
+                  * pochhammer(k + r, l) * pochhammer(k, a - l))
+        tail += inner / (pochhammer(k, r + l + 1) * pochhammer(k, a - l))
     # 1/2^(r-1) is the rational 2 when r = 0.
-    second = pref2 * tail * Rat(2) ** (1 - r)
+    second = (pref2 * tail * pochhammer(k, (a + 1) // 2)
+              * pochhammer(2 * k + a, r) * Rat(2) ** (1 - r))
 
     return MomentValue.from_normalized(first + second, Rat(lam), a)
 
@@ -184,7 +178,8 @@ def moment(q: MomentQuery) -> MomentValue:
     """Dispatch E|X_{k+r} - Y_k|^a by parity of a.
 
     For r = 0 the result is additionally cross-checked against the
-    diagonal Gamma-ratio formula; a mismatch indicates an internal bug.
+    diagonal Pochhammer-quotient formula; a mismatch raises
+    CrossCheckError, since it indicates an internal bug.
     """
     if q.a % 2 == 0:
         out = even_moment_general(q.k + q.r, q.k, q.a, q.lam)
@@ -193,16 +188,15 @@ def moment(q: MomentQuery) -> MomentValue:
     if q.r == 0:
         diag = diagonal_moment(q.k, q.a, q.lam)
         if diag.value != out.value:
-            raise AssertionError(
+            raise CrossCheckError(
                 f"diagonal cross-check failed for {q}: {out.value} != {diag.value}")
     return out
 
 
 def sum_moments(n: int, a: int, lam: Rat | int = 1) -> MomentValue:
-    """sum_{k=1..n} E|X_k - Y_k|^a in closed form."""
+    """sum_{k=1..n} E|X_k - Y_k|^a = (a!/lambda^a) (a/2+1)_n / n! * 2n/(2+a)."""
     if n < 1 or a < 1:
         raise ValueError("n and a must be >= 1")
-    ratio = gamma_ratio(HalfInt.halves(a) + (n + 1), HalfInt.whole(n + 1))
-    normalized = ((ratio / gamma_half(HalfInt.halves(a) + 1)).as_rat()
-                  * factorial(a) * Fraction(2 * n, 2 + a))
+    normalized = (factorial(a) * pochhammer(Rat(a, 2) + 1, n) / factorial(n)
+                  * Rat(2 * n, 2 + a))
     return MomentValue.from_normalized(normalized, Rat(lam), a)

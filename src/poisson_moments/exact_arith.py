@@ -1,31 +1,20 @@
-"""Exact rational arithmetic and the special-function kernel.
+"""Exact rational arithmetic: the one kernel every closed form is built on.
 
-Everything here is exact: rationals are arbitrary precision, and Gamma
-values at positive integer and half-integer points are represented as a
-rational coefficient times an explicit power of sqrt(pi).  No floating
-point enters any computation in this module.
+Everything here is exact: rationals are arbitrary precision, and every
+Gamma ratio the closed forms need is written as a quotient of
+Pochhammer products and factorials over `Rat`, so no sqrt(pi) factor
+ever appears.  No floating point enters any computation in this module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 # Canonical exact rational type: always gcd-reduced, denominator > 0.
 Rat = Fraction
 
-__all__ = [
-    "Rat",
-    "HalfInt",
-    "GammaFactor",
-    "SQRT_PI",
-    "factorial",
-    "binomial",
-    "pochhammer",
-    "gamma_half",
-    "gamma_ratio",
-]
+__all__ = ["Rat", "factorial", "binomial", "pochhammer"]
 
 
 def factorial(n: int) -> Rat:
@@ -54,104 +43,3 @@ def pochhammer(x: Rat | int, n: int) -> Rat:
         out *= x + i
     return out
 
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """An exact integer or half-integer, stored as twice its value."""
-
-    doubled: int
-
-    @classmethod
-    def whole(cls, n: int) -> "HalfInt":
-        return cls(2 * n)
-
-    @classmethod
-    def halves(cls, d: int) -> "HalfInt":
-        """The value d/2."""
-        return cls(d)
-
-    @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    def as_rat(self) -> Rat:
-        return Rat(self.doubled, 2)
-
-    def __add__(self, other: "HalfInt | int") -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return HalfInt(self.doubled + other.doubled)
-        return HalfInt(self.doubled + 2 * other)
-
-    def __sub__(self, other: "HalfInt | int") -> "HalfInt":
-        if isinstance(other, HalfInt):
-            return HalfInt(self.doubled - other.doubled)
-        return HalfInt(self.doubled - 2 * other)
-
-    def __str__(self) -> str:
-        if self.is_integer:
-            return str(self.doubled // 2)
-        return f"{self.doubled}/2"
-
-
-@dataclass(frozen=True)
-class GammaFactor:
-    """An exact value coeff * sqrt(pi)**sqrt_pi_power.
-
-    The power may take any integer value while a computation is in
-    flight, but the formulas this kernel serves always cancel the
-    sqrt(pi) factors before a result is exposed; `as_rat` asserts that.
-    """
-
-    coeff: Rat
-    sqrt_pi_power: int = 0
-
-    def __mul__(self, other: "GammaFactor") -> "GammaFactor":
-        return GammaFactor(self.coeff * other.coeff,
-                           self.sqrt_pi_power + other.sqrt_pi_power)
-
-    def __truediv__(self, other: "GammaFactor") -> "GammaFactor":
-        return GammaFactor(self.coeff / other.coeff,
-                           self.sqrt_pi_power - other.sqrt_pi_power)
-
-    def __add__(self, other: "GammaFactor") -> "GammaFactor":
-        if self.sqrt_pi_power != other.sqrt_pi_power:
-            raise ValueError(
-                "cannot add GammaFactors with different sqrt(pi) powers: "
-                f"{self.sqrt_pi_power} vs {other.sqrt_pi_power}")
-        return GammaFactor(self.coeff + other.coeff, self.sqrt_pi_power)
-
-    def scale(self, q: Rat | int) -> "GammaFactor":
-        return GammaFactor(self.coeff * Rat(q), self.sqrt_pi_power)
-
-    def as_rat(self) -> Rat:
-        """The rational value; only legal once all sqrt(pi) factors cancel."""
-        if self.sqrt_pi_power != 0:
-            raise ValueError(
-                f"uncancelled sqrt(pi)^{self.sqrt_pi_power} in {self!r}")
-        return self.coeff
-
-    def approx(self) -> float:
-        return float(self.coeff) * math.sqrt(math.pi) ** self.sqrt_pi_power
-
-
-SQRT_PI = GammaFactor(Rat(1), 1)
-
-
-def gamma_half(z: HalfInt) -> GammaFactor:
-    """Exact Gamma(z) for positive integer or half-integer z.
-
-    Gamma(n) = (n-1)! for integer n; Gamma(m + 1/2) is a rational
-    multiple of sqrt(pi) obtained from Gamma(1/2) = sqrt(pi) by the
-    recurrence Gamma(z+1) = z*Gamma(z).
-    """
-    if z.doubled <= 0:
-        raise ValueError(f"gamma_half requires z > 0, got {z}")
-    if z.is_integer:
-        return GammaFactor(factorial(z.doubled // 2 - 1), 0)
-    m = (z.doubled - 1) // 2  # z = m + 1/2
-    return GammaFactor(pochhammer(Rat(1, 2), m), 1)
-
-
-def gamma_ratio(num: HalfInt, den: HalfInt) -> GammaFactor:
-    """Exact Gamma(num)/Gamma(den) for positive num, den."""
-    return gamma_half(num) / gamma_half(den)

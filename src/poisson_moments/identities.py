@@ -11,20 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from scipy.integrate import quad
 
-from .exact_arith import (
-    GammaFactor,
-    HalfInt,
-    Rat,
-    binomial,
-    factorial,
-    gamma_half,
-    gamma_ratio,
-    pochhammer,
-)
+from .exact_arith import Rat, binomial, factorial, pochhammer
 
 __all__ = [
     "IdentityReport",
@@ -56,15 +46,16 @@ class IdentityReport:
 def check_telescoping_sum(n: int, a: int) -> bool:
     """sum_{k=1..n} Gamma(a/2+k)/Gamma(k) = (2n/(2+a)) Gamma(n+1+a/2)/Gamma(n+1).
 
-    Both sides carry the same sqrt(pi) power (a mod 2) and are compared
-    as exact GammaFactor values.
+    Both sides are divided by Gamma(a/2+1), which leaves the sqrt(pi)-free
+    Pochhammer quotients sum_{k=1..n} (a/2+1)_{k-1}/(k-1)! =
+    (2n/(2+a)) (a/2+1)_n/n!.  The left-hand terms follow by the ratio
+    (a/2+k)/k; the right-hand side is evaluated directly.
     """
-    lhs = GammaFactor(Rat(0), a % 2)
+    lhs, term = Rat(0), Rat(1)
     for k in range(1, n + 1):
-        lhs = lhs + gamma_ratio(HalfInt.halves(a) + k, HalfInt.whole(k))
-    rhs = gamma_ratio(HalfInt.halves(a) + (n + 1),
-                      HalfInt.whole(n + 1)).scale(Fraction(2 * n, 2 + a))
-    return lhs == rhs
+        lhs += term
+        term *= (Rat(a, 2) + k) / k
+    return lhs == Rat(2 * n, 2 + a) * pochhammer(Rat(a, 2) + 1, n) / factorial(n)
 
 
 def check_alternating_binomial(a: int, k: int) -> bool:
@@ -159,28 +150,32 @@ def check_incomplete_gamma(m: int, lam: Rat | float, x: Rat | float,
     return abs(closed - numeric) <= rel_tol * max(1.0, abs(closed))
 
 
+def _bound(value: int | None, default: int) -> int:
+    return default if value is None else value
+
+
 def run_suite(name: str, max_a: int | None = None,
               max_k: int | None = None, max_n: int | None = None) -> IdentityReport:
     """Run one identity checker over its default (spec-sized) grid."""
     report = IdentityReport(name=name)
     if name == "telescoping":
-        for n in range(1, (max_n or 50) + 1):
-            for a in range(1, (max_a or 12) + 1):
+        for n in range(1, _bound(max_n, 50) + 1):
+            for a in range(1, _bound(max_a, 12) + 1):
                 report.record((n, a), check_telescoping_sum(n, a))
     elif name == "binomial":
-        for a in range(0, (max_a or 20) + 1):
-            for k in range(1, (max_k or 12) + 1):
+        for a in range(0, _bound(max_a, 20) + 1):
+            for k in range(1, _bound(max_k, 12) + 1):
                 report.record((a, k), check_alternating_binomial(a, k))
     elif name == "dpoly":
-        for a in range(1, (max_a or 11) + 1, 2):
-            for k in range(1, (max_k or 20) + 1):
+        for a in range(1, _bound(max_a, 11) + 1, 2):
+            for k in range(1, _bound(max_k, 20) + 1):
                 report.record((k, a), d_polynomial_identity(k, a))
     elif name == "gould":
-        for a in range(1, (max_a or 25) + 1):
+        for a in range(1, _bound(max_a, 25) + 1):
             for b in range((a - 1) // 2 + 1):
                 report.record((a, b), gould_identity(a, b))
     elif name == "geometric":
-        for m in range((max_n or 40) + 1):
+        for m in range(_bound(max_n, 40) + 1):
             report.record((m,), check_partial_geometric(m))
     elif name == "gamma-incomplete":
         grid = [(1, Rat(1), Rat(700)), (1, Rat(1), Rat(1)),

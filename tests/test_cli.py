@@ -1,10 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from poisson_moments import cli
+from poisson_moments import cli, closed_forms
 
 
 def run_cli(*args, env=None):
@@ -41,6 +42,28 @@ class TestMoment:
                        "--lambda", "-1").returncode == 2
         assert run_cli("moment", "--k", "1").returncode == 2
 
+    def test_cross_check_failure_exits_3(self, monkeypatch, capsys):
+        wrong = closed_forms.MomentValue(Fraction(-1), Fraction(-1))
+        monkeypatch.setattr(closed_forms, "diagonal_moment",
+                            lambda k, a, lam=1: wrong)
+        assert cli.main(["--format", "json", "moment", "--k", "2",
+                         "--a", "3"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("cross-check mismatch:")
+        assert len(err.strip().splitlines()) == 1
+
+    def test_value_outside_float_range(self, capsys):
+        argv = ("moment", "--k", "1", "--a", "200", "--lambda", "1/1000")
+        moment = json_out(*argv)["results"]["moment"]
+        assert moment["approx"] is None
+        exact = closed_forms.diagonal_moment(1, 200, Fraction(1, 1000)).value
+        assert Fraction(int(moment["num"]), int(moment["den"])) == exact
+        assert cli.main(["--format", "csv", *argv]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert row[7] == ""  # approx
+        assert cli.main(list(argv)) == 0
+        assert "approx" not in capsys.readouterr().out
+
 
 class TestSum:
     def test_verify(self):
@@ -52,6 +75,12 @@ class TestSum:
     def test_trivial(self):
         doc = json_out("sum", "--n", "1", "--a", "1")
         assert doc["results"]["sum"]["num"] == "1"
+
+    def test_result_beyond_the_int_digit_limit(self):
+        # The numerator has more digits than Python's default str() limit.
+        total = json_out("sum", "--n", "10000", "--a", "3")["results"]["sum"]
+        assert len(total["num"]) > 4300
+        assert total["approx"] == float(closed_forms.sum_moments(10000, 3).value)
 
 
 class TestVerify:
@@ -66,6 +95,14 @@ class TestVerify:
 
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "--suite", "bogus").returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--max-a", "--max-k", "--max-n"])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_bound_below_one_is_usage_error(self, flag, bound):
+        # 0 used to run the full default grid, a negative bound zero cases.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "gould", flag, bound])
+        assert exc.value.code == 2
 
 
 class TestSimulate:

@@ -13,6 +13,7 @@ from poisson_moments.closed_forms import (
     odd_moment_theorem4,
     sum_moments,
 )
+from poisson_moments.oracles import exact_moment_first_principles
 
 LAMBDAS = (Fraction(1), Fraction(1, 2), Fraction(3))
 
@@ -100,6 +101,15 @@ class TestCrossFormulaInvariants:
                 by_terms = sum(diagonal_moment(k, a, lam).value
                                for k in range(1, n + 1))
                 assert sum_moments(n, a, lam).value == by_terms, (n, a)
+
+    @pytest.mark.parametrize("k,r,a", [(40, 60, 31), (30, 30, 41), (20, 120, 41)])
+    def test_theorem4_matches_first_principles_at_large_a_and_r(self, k, r, a):
+        assert (odd_moment_theorem4(k, r, a).value
+                == exact_moment_first_principles(k + r, k, a))
+
+    def test_long_partial_sum_matches_terms(self):
+        by_terms = sum(diagonal_moment(k, 41).value for k in range(1, 301))
+        assert sum_moments(300, 41).value == by_terms
 
     def test_scale_law(self):
         for lam in LAMBDAS:

@@ -3,16 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from poisson_moments.exact_arith import (
-    GammaFactor,
-    HalfInt,
-    Rat,
-    binomial,
-    factorial,
-    gamma_half,
-    gamma_ratio,
-    pochhammer,
-)
+from poisson_moments.exact_arith import Rat, binomial, factorial, pochhammer
 
 
 def test_factorial_values():
@@ -62,61 +53,15 @@ def test_rat_canonical_form(x, y, op):
     assert math.gcd(z.numerator, z.denominator) == 1
 
 
-def test_halfint_basics():
-    z = HalfInt.halves(5)
-    assert not z.is_integer
-    assert z.as_rat() == Fraction(5, 2)
-    assert (z + 1).doubled == 7
-    assert HalfInt.whole(3).is_integer
-    assert HalfInt.whole(2) < HalfInt.halves(5)
+@given(st.fractions(max_denominator=50), st.integers(0, 30))
+def test_pochhammer_recurrence(x, n):
+    # (x)_{n+1} = (x)_n (x+n), the Pochhammer form of Gamma(z+1) = z Gamma(z)
+    assert pochhammer(x, n + 1) == pochhammer(x, n) * (x + n)
 
 
-def test_gamma_half_values():
-    assert gamma_half(HalfInt.halves(1)) == GammaFactor(Rat(1), 1)
-    assert gamma_half(HalfInt.whole(5)) == GammaFactor(Rat(24), 0)
-    assert gamma_half(HalfInt.halves(5)) == GammaFactor(Fraction(3, 4), 1)
-
-
-def test_gamma_half_rejects_nonpositive():
-    for d in (0, -1, -4):
-        with pytest.raises(ValueError):
-            gamma_half(HalfInt(d))
-
-
-def test_gamma_ratio_values():
-    assert gamma_ratio(HalfInt.whole(8), HalfInt.whole(7)).as_rat() == 7
-    assert gamma_ratio(HalfInt.halves(5), HalfInt.halves(3)).as_rat() == Fraction(3, 2)
-    mixed = gamma_ratio(HalfInt.halves(5), HalfInt.whole(2))
-    assert mixed == GammaFactor(Fraction(3, 4), 1)
-
-
-def test_gamma_recurrence():
-    # Gamma(z+1) = z * Gamma(z) over all half-integers in (0, 50]
-    for doubled in range(1, 101):
-        z = HalfInt(doubled)
-        lhs = gamma_half(z + 1)
-        rhs = gamma_half(z).scale(z.as_rat())
-        assert lhs == rhs, z
-
-
-def test_legendre_duplication_pi_free_form():
-    # Gamma(2z) * sqrt(pi) = 2^(2z-1) Gamma(z) Gamma(z+1/2), compared as
-    # GammaFactor values with matching sqrt(pi) powers.
-    for doubled in range(1, 41):
-        z = HalfInt(doubled)
-        lhs = gamma_half(HalfInt(2 * doubled)) * GammaFactor(Rat(1), 1)
-        rhs = (gamma_half(z) * gamma_half(z + HalfInt.halves(1))).scale(
-            Rat(2) ** (doubled - 1))
-        assert lhs == rhs, z
-
-
-def test_uncancelled_sqrt_pi_is_rejected():
-    with pytest.raises(ValueError):
-        gamma_half(HalfInt.halves(1)).as_rat()
-    with pytest.raises(ValueError):
-        gamma_ratio(HalfInt.whole(2), HalfInt.halves(5)).as_rat()
-
-
-def test_gamma_factor_addition_requires_matching_power():
-    with pytest.raises(ValueError):
-        GammaFactor(Rat(1), 0) + GammaFactor(Rat(1), 1)
+@given(st.fractions(max_denominator=50), st.integers(0, 15))
+def test_pochhammer_legendre_duplication(x, n):
+    # (2x)_{2n} = 4^n (x)_n (x+1/2)_n, Legendre's duplication formula
+    # with every Gamma value and sqrt(pi) cancelled
+    assert (pochhammer(2 * x, 2 * n)
+            == 4 ** n * pochhammer(x, n) * pochhammer(x + Fraction(1, 2), n))

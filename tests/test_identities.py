@@ -16,6 +16,12 @@ from poisson_moments.identities import (
 )
 
 
+def test_run_suite_zero_bound_is_not_the_default():
+    # 0 is a bound, not "unset": the geometric suite then checks m = 0 only.
+    assert run_suite("geometric", max_n=0).parameter_set == [(0,)]
+    assert len(run_suite("geometric").parameter_set) == 41
+
+
 def test_telescoping_examples():
     assert check_telescoping_sum(2, 2)
     assert check_telescoping_sum(1, 4)
