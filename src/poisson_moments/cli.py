@@ -17,10 +17,13 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
 from fractions import Fraction
+
+import numpy as np
 
 from . import closed_forms, identities, matching_lab, oracles
 from .exact_arith import Rat
@@ -47,7 +50,23 @@ def _rat_fields(q: Rat) -> dict:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get(_SEED_ENV, "0"))
+    raw = os.environ.get(_SEED_ENV, "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{_SEED_ENV} must be an integer, got {raw!r}") from None
+
+
+def _in_float_range(name: str, value) -> float:
+    """float(value) for a quantity that must be positive, or ValueError when
+    it overflows, underflows to 0 or is nan."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not 0 < x < math.inf:
+        raise ValueError(f"{name} is outside float range")
+    return x
 
 
 def _positive_rational(text: str) -> Fraction:
@@ -60,20 +79,42 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
+        return value
+    return parse
+
+
+_positive_int = _int_at_least(1)
+
+
+def _exponent(text: str) -> float:
     try:
-        value = int(text)
+        value = float(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1: {text}")
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text}")
     return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _emit(record: dict, rows: list[dict], fmt: str) -> None:
     """Write one result record; `rows` is its tabular (CSV) projection."""
     if fmt == "json":
-        print(json.dumps(record, indent=2))
+        print(json.dumps(record, indent=2, allow_nan=False))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -191,16 +232,19 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
-    est = oracles.mc_moment(args.k, args.r, args.b, float(args.lam),
+    est = oracles.mc_moment(args.k, args.r, args.b,
+                            _in_float_range("lambda", args.lam),
                             args.samples, args.seed)
+    _in_float_range("Monte Carlo mean", est.mean)
+    _in_float_range("Monte Carlo stderr", est.stderr)
     results = {"mean": est.mean, "stderr": est.stderr,
                "samples": est.samples, "seed": est.seed}
     exact_num = exact_den = zscore = ""
-    if float(args.b).is_integer():
+    if args.b.is_integer():
         exact = closed_forms.moment(closed_forms.MomentQuery(
             k=args.k, r=args.r, a=int(args.b), lam=args.lam)).value
         results["exact"] = _rat_fields(exact)
-        results["zscore"] = est.zscore(float(exact))
+        results["zscore"] = est.zscore(_in_float_range("exact moment", exact))
         exact_num, exact_den = str(exact.numerator), str(exact.denominator)
         zscore = results["zscore"]
     record = _record("simulate", {"k": args.k, "r": args.r, "b": args.b,
@@ -217,6 +261,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_matching(args) -> int:
     t0 = time.perf_counter()
+    if args.n_max < args.n_min * args.grid_factor:
+        raise ValueError("--n-max must be >= --n-min * --grid-factor "
+                         "so that the fit has at least 2 grid points")
     n_grid = []
     n = args.n_min
     while n <= args.n_max:
@@ -241,7 +288,7 @@ def cmd_matching(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="poisson-moments",
         description="Exact Poisson event-distance moments, identity "
                     "verification, Monte Carlo cross-checks, and matching "
@@ -278,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo moment estimate")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, default=0)
-    p.add_argument("--b", type=float, required=True)
+    p.add_argument("--b", type=_exponent, required=True)
     p.add_argument("--lambda", dest="lam", type=_positive_rational,
                    default=Fraction(1))
     p.add_argument("--samples", type=int, default=100_000)
@@ -286,10 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("matching", help="matching-cost scaling experiment")
-    p.add_argument("--b", type=float, required=True)
-    p.add_argument("--n-min", type=int, default=8)
-    p.add_argument("--n-max", type=int, default=4096)
-    p.add_argument("--grid-factor", type=int, default=2)
+    p.add_argument("--b", type=_exponent, required=True)
+    p.add_argument("--n-min", type=_positive_int, default=8)
+    p.add_argument("--n-max", type=_positive_int, default=4096)
+    p.add_argument("--grid-factor", type=_int_at_least(2), default=2)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_matching)
@@ -301,10 +348,13 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
-        return args.func(args)
+        if hasattr(args, "seed") and args.seed is None:
+            args.seed = _default_seed()
+        # Samples beyond float range are rejected by the commands' range
+        # checks; numpy's overflow warnings would only add stderr lines.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except closed_forms.CrossCheckError as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK

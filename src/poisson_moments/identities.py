@@ -2,17 +2,16 @@
 that underpin the closed-form moment expressions.
 
 Each checker evaluates both sides of one identity independently and
-returns whether they agree.  All checks are exact rational comparisons
-except `check_incomplete_gamma`, which necessarily compares a
-transcendental closed form against numerical quadrature.
+returns whether they agree.  Every check is an exact rational
+comparison; no floating point enters this module.  The one
+transcendental identity, the incomplete-Gamma closed form, is checked
+through its derivative: the polynomial coefficients multiplying
+exp(-lambda t) are compared in Rat.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-
-from scipy.integrate import quad
 
 from .exact_arith import Rat, binomial, factorial, pochhammer
 
@@ -113,41 +112,33 @@ def check_partial_geometric(m: int) -> bool:
     return lhs == Rat(2) ** m
 
 
-def _gamma_density(t: float, m: int, lam: float) -> float:
-    return lam * math.exp(-lam * t + (m - 1) * math.log(lam * t)
-                          - math.lgamma(m)) if t > 0 else (lam if m == 1 else 0.0)
+def _is_gamma_cdf(p: list, m: int, lam: Rat) -> bool:
+    """Whether F(t) = 1 - exp(-lam t) sum_l p[l] t^l is the Gamma(m, lam) CDF.
+
+    By the fundamental theorem of calculus it is iff F(0) = 0, i.e.
+    p[0] = 1, and F' is the density lam^m t^(m-1) exp(-lam t) / (m-1)!,
+    i.e. lam P - P' = lam^m t^(m-1) / (m-1)! coefficient by coefficient.
+    """
+    c = list(p) + [Rat(0)] * (m + 1)
+    top = lam ** m / factorial(m - 1)
+    return c[0] == 1 and all(
+        lam * c[j] - (j + 1) * c[j + 1] == (top if j == m - 1 else 0)
+        for j in range(len(c) - 1))
 
 
-def check_incomplete_gamma(m: int, lam: Rat | float, x: Rat | float,
-                           rel_tol: float = 1e-12) -> bool:
+def check_incomplete_gamma(m: int, lam: Rat | int, x: Rat | int) -> bool:
     """Integral of the Gamma(m, lambda) density over [0, x] versus its
     closed form 1 - exp(-lambda x) sum_{l<m} (lambda x)^l / l!.
 
-    The closed form is transcendental, so this is the one numeric check:
-    adaptive quadrature against the density at relative tolerance rel_tol.
+    The identity is proved exactly for every x > 0 at once (see
+    `_is_gamma_cdf`), so x is only validated.
     """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    lam = float(lam)
-    x = float(x)
+    lam = Rat(lam)
     if lam <= 0 or x <= 0:
         raise ValueError("lambda and x must be positive")
-    lx = lam * x
-    # Summed in log space so large lambda*x neither overflows nor underflows.
-    tail = math.fsum(math.exp(-lx + l * math.log(lx) - math.lgamma(l + 1))
-                     for l in range(m))
-    closed = 1.0 - tail
-
-    # Split at the point beyond which the density mass is negligible, so
-    # the adaptive rule cannot miss the bulk on a very wide interval.
-    cut = min(x, (m + 60.0) / lam)
-    numeric, _ = quad(_gamma_density, 0.0, cut, args=(m, lam),
-                      epsabs=1e-15, epsrel=1e-13, limit=200)
-    if cut < x:
-        extra, _ = quad(_gamma_density, cut, x, args=(m, lam),
-                        epsabs=1e-15, epsrel=1e-13, limit=200)
-        numeric += extra
-    return abs(closed - numeric) <= rel_tol * max(1.0, abs(closed))
+    return _is_gamma_cdf([lam ** l / factorial(l) for l in range(m)], m, lam)
 
 
 def _bound(value: int | None, default: int) -> int:

@@ -131,14 +131,18 @@ def scaling_experiment(b: float, n_grid: list, trials: int,
     instance across the whole experiment has a distinct stream address.
     """
     n_grid = list(n_grid)
-    if any(m >= n for m, n in zip(n_grid, n_grid[1:])) or n_grid[0] < 1:
-        raise ValueError("n_grid must be strictly increasing with n >= 1")
+    if (len(n_grid) < 2 or n_grid[0] < 1
+            or any(m >= n for m, n in zip(n_grid, n_grid[1:]))):
+        raise ValueError("n_grid must hold at least 2 strictly increasing "
+                         "points with n >= 1")
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     means = []
     for g, n in enumerate(n_grid):
         costs = _sorted_costs(n, b, float(n), trials, seed, g * trials)
         means.append(float(np.mean(costs)))
+    if not all(0 < c < math.inf for c in means):
+        raise ValueError(f"mean matching cost at b={b} is outside float range")
     log_n = np.log(np.array(n_grid, dtype=float))
     log_c = np.log(np.array(means))
     slope, intercept = np.polyfit(log_n, log_c, 1)

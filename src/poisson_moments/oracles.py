@@ -148,6 +148,8 @@ def mc_moment(k: int, r: int, b: float, lam: float,
         total += float(np.sum(vals))
         total_sq += float(np.sum(vals * vals))
     mean = total / samples
-    var = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
-    return MCEstimate(mean=mean, stderr=math.sqrt(var / samples),
+    var = (total_sq - samples * mean * mean) / (samples - 1)
+    # var is inf or nan only when the sum of squares left float range.
+    stderr = math.sqrt(max(0.0, var) / samples) if math.isfinite(var) else math.inf
+    return MCEstimate(mean=mean, stderr=stderr,
                       samples=samples, seed=seed)

@@ -1,16 +1,25 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from poisson_moments import cli, closed_forms
 
 
 def run_cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "poisson_moments.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
 
 
 def json_out(*args):
@@ -93,6 +102,28 @@ class TestVerify:
                        "--max-k", "4", "--max-n", "4")
         assert all(suite["all_passed"] for suite in doc["results"].values())
 
+    def test_all_suites_with_numpy_as_the_only_dependency(self):
+        # Any import outside the standard library, numpy and the package fails.
+        code = textwrap.dedent("""
+            import sys
+
+            class OnlyNumpy:
+                def find_spec(self, name, path=None, target=None):
+                    top = name.partition(".")[0]
+                    if top not in (*sys.stdlib_module_names, "numpy",
+                                   "poisson_moments"):
+                        raise ImportError(f"unexpected dependency: {name}")
+
+            sys.meta_path.insert(0, OnlyNumpy())
+            from poisson_moments import cli
+            sys.exit(cli.main(["--format", "json", "verify"]))
+            """)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        assert sum(suite["cases"] for suite in results.values()) == 1188
+
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "--suite", "bogus").returncode == 2
 
@@ -118,11 +149,17 @@ class TestSimulate:
         assert "exact" not in doc["results"]
 
     def test_seed_env_default(self, tmp_path):
-        import os
         env = dict(os.environ, POISSON_MOMENTS_SEED="77")
         proc = run_cli("--format", "json", "simulate", "--k", "1", "--b", "1",
                        "--samples", "1000", env=env)
         assert json.loads(proc.stdout)["parameters"]["seed"] == 77
+
+    def test_bad_seed_env_is_usage_error(self):
+        env = dict(os.environ, POISSON_MOMENTS_SEED="abc")
+        proc = run_cli("simulate", "--k", "1", "--b", "1", env=env)
+        assert proc.returncode == 2
+        assert proc.stderr.strip().splitlines() == [
+            "error: POISSON_MOMENTS_SEED must be an integer, got 'abc'"]
 
 
 class TestMatching:
@@ -133,6 +170,101 @@ class TestMatching:
         lines = proc.stdout.strip().splitlines()
         assert lines[0].startswith("command,b,n,mean_cost,slope")
         assert len(lines) == 1 + 4  # header + n in {8,16,32,64}
+
+
+class TestInputDomain:
+    """Every input gives a result or exits 2 with one stderr line: no hang,
+    no traceback, no NaN/Infinity on stdout."""
+
+    @pytest.mark.parametrize("argv", [
+        # used to loop forever
+        ["matching", "--b", "1", "--grid-factor", "1", "--trials", "2"],
+        ["matching", "--b", "1", "--n-min", "0", "--trials", "2"],
+        # used to raise IndexError on an empty grid, or fit one point
+        ["matching", "--b", "1", "--n-min", "64", "--n-max", "8", "--trials", "2"],
+        ["matching", "--b", "1", "--n-min", "8", "--n-max", "8", "--trials", "2"],
+        # used to be accepted, emitting NaN/Infinity for simulate
+        ["simulate", "--k", "1", "--b", "nan"],
+        ["simulate", "--k", "1", "--b", "inf"],
+        ["matching", "--b", "-1"],
+        # used to raise OverflowError (exit 1) from float(exact)
+        ["simulate", "--k", "1", "--b", "200", "--lambda", "1/1000",
+         "--samples", "1000", "--seed", "1"],
+        ["simulate", "--k", "1", "--b", "1.5", "--lambda", "1e400",
+         "--samples", "10"],
+        # used to report stderr 0.0 when the sum of squares overflowed
+        ["simulate", "--k", "1", "--b", "400.5", "--samples", "10", "--seed", "1"],
+    ])
+    def test_rejected_with_one_line(self, argv):
+        proc = run_cli("--format", "json", *argv)
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_argv_exits_cleanly(self, data):
+        # Each value is valid four times in five, so most draws get past
+        # argparse; the invalid ones span 0, negatives, nan, inf and junk.
+        def pick(*values):
+            return data.draw(st.sampled_from(values))
+
+        def value(valid, invalid):
+            return pick(*valid) if data.draw(st.integers(0, 4)) else pick(*invalid)
+
+        def optional(flag, valid, invalid):
+            return [flag, value(valid, invalid)] if data.draw(st.booleans()) else []
+
+        def switch(flag):
+            return [flag] if data.draw(st.booleans()) else []
+
+        size = ("-1", "0", "x")
+        lam = (("1", "2", "1/1000", "3/7", "1e400", "1e-400"),
+               ("0", "-1", "nan", "inf", "1/0"))
+        b = (("1", "2", "3", "0.5", "2.5", "200", "400.5", "1e-320", "1e20"),
+             ("0", "-1", "nan", "inf", "-inf", "x"))
+        seed = (("-1", "0", "7", str(2 ** 70)), ("x",))
+        fmt = pick("json", "csv", "text")
+        sub = pick("moment", "sum", "verify", "simulate", "matching")
+        if sub == "moment":
+            argv = ["--k", value(("1", "2", "5"), size),
+                    "--a", value(("1", "2", "7"), size),
+                    *optional("--r", ("0", "1", "3"), size),
+                    *optional("--lambda", *lam), *switch("--cross-check")]
+        elif sub == "sum":
+            argv = ["--n", value(("1", "3", "20"), size),
+                    "--a", value(("1", "2", "7"), size),
+                    *optional("--lambda", *lam), *switch("--verify")]
+        elif sub == "verify":
+            bound = (("1", "2", "5"), size)
+            argv = ["--suite", value(("all", *cli.identities.SUITES), ("bogus",)),
+                    "--max-a", value(*bound), "--max-k", value(*bound),
+                    "--max-n", value(*bound)]
+        elif sub == "simulate":
+            argv = ["--k", value(("1", "3"), size), "--b", value(*b),
+                    *optional("--r", ("0", "2"), size),
+                    *optional("--lambda", *lam),
+                    "--samples", value(("2", "500"), (*size, "1")),
+                    *optional("--seed", *seed)]
+        else:
+            argv = ["--b", value(*b), "--n-min", value(("1", "4"), size),
+                    "--n-max", value(("8", "32"), size),
+                    "--grid-factor", value(("2", "3"), (*size, "1")),
+                    "--trials", value(("2", "5"), (*size, "1")),
+                    *optional("--seed", *seed)]
+        argv = ["--format", fmt, sub, *argv]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code:
+            assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())
+        if fmt == "json" and (code == 0 or out.getvalue()):
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 class TestOutputContract:

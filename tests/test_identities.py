@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from poisson_moments.exact_arith import factorial
 from poisson_moments.identities import (
     IdentityReport,
     SUITES,
+    _is_gamma_cdf,
     check_alternating_binomial,
     check_incomplete_gamma,
     check_partial_geometric,
@@ -91,6 +93,18 @@ def test_incomplete_gamma_examples():
     assert check_incomplete_gamma(1, 1, 700)           # total mass ~ 1
     assert check_incomplete_gamma(2, 1, 1)             # 1 - 2/e
     assert check_incomplete_gamma(3, 2, Fraction(1, 2))
+    assert check_incomplete_gamma(200, Fraction(7, 3), 5)
+
+
+def test_incomplete_gamma_rejects_wrong_closed_forms():
+    lam = Fraction(3, 2)
+    for m in (1, 2, 6):
+        terms = [lam ** l / factorial(l) for l in range(m + 1)]
+        assert _is_gamma_cdf(terms[:m], m, lam)
+        assert not _is_gamma_cdf(terms, m, lam)           # sum to l <= m
+        assert not _is_gamma_cdf(terms[:m - 1], m, lam)   # sum to l < m - 1
+        assert not _is_gamma_cdf(terms[:m], m + 1, lam)   # wrong shape
+    assert not _is_gamma_cdf([1, lam], 2, 2 * lam)        # wrong rate
 
 
 def test_incomplete_gamma_rejects_bad_args():
@@ -98,6 +112,8 @@ def test_incomplete_gamma_rejects_bad_args():
         check_incomplete_gamma(0, 1, 1)
     with pytest.raises(ValueError):
         check_incomplete_gamma(1, -1, 1)
+    with pytest.raises(ValueError):
+        check_incomplete_gamma(1, 1, 0)
 
 
 def test_run_suite_all_pass():

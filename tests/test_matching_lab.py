@@ -99,9 +99,15 @@ class TestScalingExperiment:
         f2 = scaling_experiment(1.0, [8, 16, 32], trials=50, seed=5)
         assert f1 == f2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
             scaling_experiment(1.0, [8, 8, 16], trials=10, seed=0)
+        for grid in ([], [8]):  # no fit: IndexError, then a vacuous slope
+            with pytest.raises(ValueError):
+                scaling_experiment(1.0, grid, trials=10, seed=0)
+        with pytest.raises(ValueError):  # costs overflow or underflow
+            scaling_experiment(1e20, [8, 16], trials=10, seed=0)
         with pytest.raises(ValueError):
             scaling_experiment(1.0, [8, 16], trials=1, seed=0)
 

@@ -118,6 +118,13 @@ class TestMcMoment:
                 bound = float(diagonal_moment(k, hi).value) ** (b / hi)
                 assert est.mean <= bound + 4 * est.stderr, (b, k, est.mean, bound)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_stderr_beyond_float_range_is_not_zero(self):
+        # Some |d|^400.5 square past 1.8e308; the stderr used to read 0.0.
+        est = mc_moment(1, 0, 400.5, 1.0, 10, seed=1)
+        assert math.isfinite(est.mean)
+        assert est.stderr == math.inf
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             mc_moment(1, 0, 1.0, 1.0, 1, seed=0)
