@@ -23,8 +23,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import closed_forms, identities, matching_lab, oracles
 from .exact_arith import Rat
 
@@ -351,10 +349,7 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        # Samples beyond float range are rejected by the commands' range
-        # checks; numpy's overflow warnings would only add stderr lines.
-        with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+        return args.func(args)
     except closed_forms.CrossCheckError as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK

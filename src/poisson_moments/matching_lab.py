@@ -3,7 +3,10 @@
 Samples pairs of Poisson point sets, computes the index-sorted matching
 cost sum |X_k - Y_k|^b, verifies optimality against a brute-force
 permutation oracle at small n, and fits the empirical cost-versus-n
-scaling law with the rate coupled as lambda = n.
+scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
+from rate-1 gaps, each distance divided by n before it is raised to b,
+and reduced by `oracles.blocked_estimate`, which bounds memory whatever
+n or trials is.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import numpy as np
 
 from .closed_forms import sum_moments
 from .exact_arith import Rat
-from .oracles import ArrivalSequence, MCEstimate, sample_arrivals
-from .prng import uniform_block
+from .oracles import (ArrivalSequence, MCEstimate, blocked_estimate,
+                      rate1_gaps, sample_arrivals)
 
 __all__ = [
     "MatchingRun",
@@ -42,7 +45,7 @@ class MatchingRun:
     xs: ArrivalSequence
     ys: ArrivalSequence
     sorted_cost: float
-    optimal_cost: float | None = None
+    optimal_cost: float
 
 
 @dataclass(frozen=True)
@@ -84,43 +87,34 @@ def expected_sorted_cost_exact(n: int, a: int) -> Rat:
     return sum_moments(n, a, Rat(n)).value
 
 
-def sample_matching_run(n: int, b: float, seed: int, stream_pair: int = 0,
-                        lam: float | None = None,
-                        brute_force: bool = False) -> MatchingRun:
-    """Sample one bicolored instance; lam defaults to the n-coupling."""
-    rate = float(n) if lam is None else lam
-    xs = sample_arrivals(n, rate, seed, 2 * stream_pair)
-    ys = sample_arrivals(n, rate, seed, 2 * stream_pair + 1)
-    cost = sorted_matching_cost(xs, ys, b)
-    optimal = (optimal_matching_cost_bruteforce(xs.times, ys.times, b)
-               if brute_force else None)
+def sample_matching_run(n: int, b: float, seed: int,
+                        stream_pair: int = 0) -> MatchingRun:
+    """Sample one bicolored instance at the coupled rate lambda = n, with
+    its sorted and brute-force optimal costs (n <= 8)."""
+    xs = sample_arrivals(n, float(n), seed, 2 * stream_pair)
+    ys = sample_arrivals(n, float(n), seed, 2 * stream_pair + 1)
     return MatchingRun(n=n, b=b, xs=xs, ys=ys,
-                       sorted_cost=cost, optimal_cost=optimal)
-
-
-def _sorted_costs(n: int, b: float, lam: float, trials: int, seed: int,
-                  stream_offset: int) -> np.ndarray:
-    """Sorted costs for trials instances; pair t uses streams
-    2(stream_offset+t) and 2(stream_offset+t)+1."""
-    pairs = stream_offset + np.arange(trials, dtype=np.uint64)
-    ux = uniform_block(seed, 2 * pairs, n)
-    uy = uniform_block(seed, 2 * pairs + 1, n)
-    x = np.cumsum(-np.log1p(-ux), axis=1) / lam
-    y = np.cumsum(-np.log1p(-uy), axis=1) / lam
-    return np.sum(np.abs(x - y) ** b, axis=1)
+                       sorted_cost=sorted_matching_cost(xs, ys, b),
+                       optimal_cost=optimal_matching_cost_bruteforce(
+                           xs.times, ys.times, b))
 
 
 def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
-                   lam: float | None = None,
                    stream_offset: int = 0) -> MCEstimate:
-    """Monte Carlo mean of the sorted matching cost (lambda = n by default)."""
+    """Monte Carlo mean of the sorted matching cost at lambda = n; trial t
+    uses streams 2(stream_offset+t) and 2(stream_offset+t)+1."""
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    rate = float(n) if lam is None else lam
-    costs = _sorted_costs(n, b, rate, trials, seed, stream_offset)
-    mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / math.sqrt(trials))
-    return MCEstimate(mean=mean, stderr=stderr, samples=trials, seed=seed)
+    if not (n >= 1 and b > 0):
+        raise ValueError("require n >= 1, b > 0")
+
+    def costs(lo: int, hi: int) -> np.ndarray:
+        pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
+        x = np.cumsum(rate1_gaps(seed, 2 * pairs, n), axis=1)
+        y = np.cumsum(rate1_gaps(seed, 2 * pairs + 1, n), axis=1)
+        return np.sum((np.abs(x - y) / n) ** b, axis=1)
+
+    return blocked_estimate(costs, trials, n, seed)
 
 
 def scaling_experiment(b: float, n_grid: list, trials: int,
@@ -135,12 +129,8 @@ def scaling_experiment(b: float, n_grid: list, trials: int,
             or any(m >= n for m, n in zip(n_grid, n_grid[1:]))):
         raise ValueError("n_grid must hold at least 2 strictly increasing "
                          "points with n >= 1")
-    if trials < 2:
-        raise ValueError(f"need at least 2 trials, got {trials}")
-    means = []
-    for g, n in enumerate(n_grid):
-        costs = _sorted_costs(n, b, float(n), trials, seed, g * trials)
-        means.append(float(np.mean(costs)))
+    means = [mc_sorted_cost(n, b, trials, seed, stream_offset=g * trials).mean
+             for g, n in enumerate(n_grid)]
     if not all(0 < c < math.inf for c in means):
         raise ValueError(f"mean matching cost at b={b} is outside float range")
     log_n = np.log(np.array(n_grid, dtype=float))

@@ -7,6 +7,10 @@ Two routes that share no code with the closed forms:
   exact rational arithmetic.
 * `mc_moment` estimates moments (including non-integer exponents) by
   deterministic, stream-addressed Monte Carlo.
+
+Every Monte Carlo estimate draws rate-1 gaps (`rate1_gaps`), divides each
+distance by the rate before raising it to b, and reduces the values with
+`blocked_estimate`, in blocks of bounded memory.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .exact_arith import Rat
-from .prng import uniform_block, uniforms
+from .prng import uniform_block
 
 __all__ = [
     "MCEstimate",
@@ -28,7 +32,9 @@ __all__ = [
     "mc_moment",
 ]
 
-_CHUNK = 1 << 16  # fixed reduction granularity keeps sums deterministic
+# Rows per block and uniforms per stream block; they fix the summation order.
+_BLOCK_ROWS = 1 << 16
+_BLOCK_UNIFORMS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -102,54 +108,77 @@ def exact_moment_first_principles(i: int, k: int, a: int,
     return (full_line + correction) / lam ** a
 
 
+def rate1_gaps(seed: int, streams, n: int) -> np.ndarray:
+    """Inverse-CDF Exp(1) gaps -log(1-U) for counters 0..n-1 of each
+    stream; shape (len(streams), n)."""
+    return -np.log1p(-uniform_block(seed, streams, n))
+
+
+def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
+    """sum(weight * d^2) as (q, e) with the sum = q * 4^e, taken on the exact
+    d * 2^-e so that squares near the float floor do not underflow."""
+    e = int(np.frexp(np.max(np.abs(d)))[1])
+    return float(np.sum(weight * np.ldexp(d, -e) ** 2)), e
+
+
+def blocked_estimate(sample, rows: int, width: int, seed: int) -> MCEstimate:
+    """Mean and stderr of the values that sample(lo, hi) returns for rows
+    lo..hi-1, where one stream draws `width` uniforms per row.  Blocks are
+    merged in order by their (n, sum, M2) (Chan, Golub & LeVeque 1979);
+    values beyond float range come out as inf or nan, an M2 beyond it as
+    stderr = inf.
+    """
+    step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
+    blocks = []
+    total = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, rows, step):
+            v = sample(lo, min(lo + step, rows))
+            s = float(np.sum(v))
+            blocks.append((len(v), s / len(v), _sum_sq(v - s / len(v))))
+            total += s
+        mean = total / rows
+        n, means, parts = zip(*blocks)
+        parts += (_sum_sq(np.array(means) - mean, np.array(n, dtype=float)),)
+        top = max((e for q, e in parts if q), default=0)
+        m2 = sum(math.ldexp(q, 2 * (e - top)) for q, e in parts)  # M2 / 4^top
+        stderr = float(np.ldexp(math.sqrt(m2 / (rows - 1) / rows), top))
+        if not math.isfinite(np.ldexp(m2, 2 * top)):
+            stderr = math.inf
+    return MCEstimate(mean=mean, stderr=stderr, samples=rows, seed=seed)
+
+
 def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> ArrivalSequence:
     """First n arrival times of a rate-lam Poisson process.
 
-    Gaps are inverse-CDF exponentials -log(1-U)/lam from the
-    counter-based stream, so identical (seed, stream, n, lam) always
-    reproduces the identical sequence.
+    The arrivals are the cumulative sums of the stream's rate-1 gaps,
+    divided by lam, so identical (seed, stream, n, lam) always reproduces
+    the identical sequence.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    gaps = -np.log1p(-uniforms(seed, stream, n)) / lam
-    return ArrivalSequence(times=np.cumsum(gaps), rate=lam)
-
-
-def _pair_distances(k: int, r: int, lam: float, seed: int,
-                    lo: int, hi: int) -> np.ndarray:
-    """|X_{k+r} - Y_k| for sample pairs lo..hi-1 (streams 2m and 2m+1)."""
-    pairs = np.arange(lo, hi, dtype=np.uint64)
-    ux = uniform_block(seed, 2 * pairs, k + r)
-    uy = uniform_block(seed, 2 * pairs + 1, k)
-    x = np.sum(-np.log1p(-ux), axis=1) / lam
-    y = np.sum(-np.log1p(-uy), axis=1) / lam
-    return np.abs(x - y)
+    times = np.cumsum(rate1_gaps(seed, [stream], n)[0]) / lam
+    return ArrivalSequence(times=times, rate=lam)
 
 
 def mc_moment(k: int, r: int, b: float, lam: float,
               samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of E|X_{k+r} - Y_k|^b (any real b > 0).
 
-    Pair m draws its two processes from streams 2m and 2m+1; chunks are
-    reduced in fixed order, so the result is a pure function of
-    (seed, k, r, b, lam, samples).
+    Pair m draws its two processes from streams 2m and 2m+1, so the
+    result is a pure function of (seed, k, r, b, lam, samples).
     """
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if k < 1 or r < 0 or b <= 0 or lam <= 0:
+    if not (k >= 1 and r >= 0 and b > 0 and lam > 0):
         raise ValueError("require k >= 1, r >= 0, b > 0, lam > 0")
-    total = 0.0
-    total_sq = 0.0
-    for lo in range(0, samples, _CHUNK):
-        hi = min(lo + _CHUNK, samples)
-        vals = _pair_distances(k, r, lam, seed, lo, hi) ** b
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals * vals))
-    mean = total / samples
-    var = (total_sq - samples * mean * mean) / (samples - 1)
-    # var is inf or nan only when the sum of squares left float range.
-    stderr = math.sqrt(max(0.0, var) / samples) if math.isfinite(var) else math.inf
-    return MCEstimate(mean=mean, stderr=stderr,
-                      samples=samples, seed=seed)
+
+    def distances(lo: int, hi: int) -> np.ndarray:
+        pairs = np.arange(lo, hi, dtype=np.uint64)
+        x = np.sum(rate1_gaps(seed, 2 * pairs, k + r), axis=1)
+        y = np.sum(rate1_gaps(seed, 2 * pairs + 1, k), axis=1)
+        return (np.abs(x - y) / lam) ** b
+
+    return blocked_estimate(distances, samples, k + r, seed)

@@ -2,17 +2,17 @@
 addressing.
 
 Each value is a pure hash of its address, so sampling is reproducible
-bit-for-bit regardless of platform, chunking, or thread count, and
-arbitrary streams can be generated independently and in parallel.  The
-mixer is the splitmix64 finalizer applied to a Weyl sequence, evaluated
-vectorized in numpy.
+bit-for-bit regardless of platform or block layout: a row of
+`uniform_block` does not depend on the other streams drawn with it, and
+a column prefix equals the shorter block.  The mixer is the splitmix64
+finalizer applied to a Weyl sequence, evaluated vectorized in numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["uniforms", "uniform_block"]
+__all__ = ["uniform_block"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -38,18 +38,8 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return ((words >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
 
 
-def uniforms(seed: int, stream: int, n: int, start: int = 0) -> np.ndarray:
-    """n uniforms in (0, 1) from counters start, start+1, ... of one stream."""
-    key = _stream_keys(seed, np.array([stream & _MASK], dtype=np.uint64))[0]
-    counters = (np.arange(start + 1, start + n + 1, dtype=np.uint64)) * _GOLDEN
-    return _to_uniform(_finalize(key + counters))
-
-
 def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-    """Uniforms for counters 0..n-1 of many streams; shape (len(streams), n).
-
-    Row i is bit-identical to uniforms(seed, streams[i], n).
-    """
+    """Uniforms for counters 0..n-1 of many streams; shape (len(streams), n)."""
     keys = _stream_keys(seed, np.asarray(streams, dtype=np.uint64))
     counters = np.arange(1, n + 1, dtype=np.uint64) * _GOLDEN
     return _to_uniform(_finalize(keys[:, None] + counters[None, :]))

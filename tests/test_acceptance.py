@@ -113,8 +113,7 @@ def test_criterion_7_sorted_matching_is_optimal():
     for idx in range(500):
         n = idx % 7 + 1
         b = (1.0, 1.5, 2.0, 3.0)[idx % 4]
-        run = sample_matching_run(n, b, seed=MC_SEED, stream_pair=idx,
-                                  brute_force=True)
+        run = sample_matching_run(n, b, seed=MC_SEED, stream_pair=idx)
         denom = max(run.optimal_cost, 1e-300)
         if abs(run.sorted_cost - run.optimal_cost) / denom > 1e-9:
             bad.append((idx, n, b))

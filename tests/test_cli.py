@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -148,6 +149,20 @@ class TestSimulate:
                        "--samples", "10000", "--seed", "1")
         assert "exact" not in doc["results"]
 
+    def test_stderr_of_values_near_the_float_floor(self):
+        # Samples near 1e-300 have squares that underflow to 0; the stderr
+        # used to be lost with them.
+        doc = json_out("simulate", "--k", "1", "--b", "2", "--lambda", "1e150",
+                       "--samples", "100", "--seed", "1")
+        assert 0 < doc["results"]["stderr"] < doc["results"]["mean"] < math.inf
+
+    def test_values_that_overflow_at_rate_one(self):
+        # |D|^100 at rate 1 reaches ~1e167 and its square overflows; divided
+        # by lambda = 100 before the power, every value is far inside range.
+        doc = json_out("simulate", "--k", "100", "--b", "100", "--lambda", "100",
+                       "--samples", "1000", "--seed", "1")
+        assert 0 < doc["results"]["stderr"] < doc["results"]["mean"] < 1e-30
+
     def test_seed_env_default(self, tmp_path):
         env = dict(os.environ, POISSON_MOMENTS_SEED="77")
         proc = run_cli("--format", "json", "simulate", "--k", "1", "--b", "1",
@@ -171,6 +186,13 @@ class TestMatching:
         assert lines[0].startswith("command,b,n,mean_cost,slope")
         assert len(lines) == 1 + 4  # header + n in {8,16,32,64}
 
+    def test_large_exponent(self):
+        # n^-90 alone is 0.0 at n = 4096; each |x - y| / n raised to the
+        # power 90 is a normal float.
+        doc = json_out("matching", "--b", "90", "--trials", "2", "--seed", "0")
+        assert doc["results"]["n_grid"][-1] == 4096
+        assert all(0 < c < math.inf for c in doc["results"]["mean_costs"])
+
 
 class TestInputDomain:
     """Every input gives a result or exits 2 with one stderr line: no hang,
@@ -192,6 +214,9 @@ class TestInputDomain:
          "--samples", "1000", "--seed", "1"],
         ["simulate", "--k", "1", "--b", "1.5", "--lambda", "1e400",
          "--samples", "10"],
+        # every (|d| / lambda)^b overflows to inf
+        ["simulate", "--k", "1", "--b", "2", "--lambda", "1e-200",
+         "--samples", "100", "--seed", "1"],
         # used to report stderr 0.0 when the sum of squares overflowed
         ["simulate", "--k", "1", "--b", "400.5", "--samples", "10", "--seed", "1"],
     ])

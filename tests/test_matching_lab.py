@@ -58,8 +58,7 @@ class TestSortedIsOptimalConvex:
         for b in (1.0, 1.5, 2.0, 3.0):
             for _ in range(60):
                 n = idx % 7 + 1
-                run = sample_matching_run(n, b, seed=17, stream_pair=idx,
-                                          brute_force=True)
+                run = sample_matching_run(n, b, seed=17, stream_pair=idx)
                 idx += 1
                 assert run.sorted_cost <= run.optimal_cost * (1 + 1e-9) + 1e-12
                 assert run.sorted_cost == pytest.approx(run.optimal_cost,
@@ -79,6 +78,12 @@ class TestExpectedCost:
             exact = float(expected_sorted_cost_exact(n, a))
             z = (est.mean - exact) / est.stderr
             assert abs(z) < 4, (n, a, z)
+
+    def test_mc_rejects_bad_args(self):
+        for n, b, trials in ((0, 1.0, 10), (4, 0.0, 10), (4, math.nan, 10),
+                             (4, 1.0, 1)):
+            with pytest.raises(ValueError):
+                mc_sorted_cost(n, b, trials, seed=0)
 
 
 class TestScalingExperiment:

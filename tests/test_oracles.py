@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,14 @@ from poisson_moments.closed_forms import (
     moment,
     odd_moment_lemma2,
 )
+from poisson_moments.matching_lab import mc_sorted_cost
 from poisson_moments.oracles import (
+    blocked_estimate,
     exact_moment_first_principles,
     mc_moment,
     sample_arrivals,
 )
-from poisson_moments.prng import uniform_block, uniforms
+from poisson_moments.prng import uniform_block
 
 
 class TestFirstPrinciplesOracle:
@@ -50,26 +53,37 @@ class TestFirstPrinciplesOracle:
 
 class TestPrng:
     def test_open_interval_and_determinism(self):
-        u = uniforms(1, 2, 10_000)
+        u = uniform_block(1, [2], 10_000)
         assert np.all(u > 0) and np.all(u < 1)
-        assert np.array_equal(u, uniforms(1, 2, 10_000))
-
-    def test_counter_addressing(self):
-        whole = uniforms(9, 4, 20)
-        assert np.array_equal(whole[5:], uniforms(9, 4, 15, start=5))
+        assert np.array_equal(u, uniform_block(1, [2], 10_000))
 
     def test_block_rows_match_streams(self):
+        # A row does not depend on the other streams drawn with it, so any
+        # block layout yields the same values.
         block = uniform_block(7, np.arange(6), 9)
         for s in range(6):
-            assert np.array_equal(block[s], uniforms(7, s, 9))
+            assert np.array_equal(block[s], uniform_block(7, [s], 9)[0])
+
+    def test_column_prefix_is_the_shorter_block(self):
+        assert np.array_equal(uniform_block(9, [4], 20)[:, :15],
+                              uniform_block(9, [4], 15))
 
     def test_streams_and_seeds_differ(self):
-        assert not np.array_equal(uniforms(1, 0, 8), uniforms(1, 1, 8))
-        assert not np.array_equal(uniforms(1, 0, 8), uniforms(2, 0, 8))
+        assert not np.array_equal(uniform_block(1, [0], 8), uniform_block(1, [1], 8))
+        assert not np.array_equal(uniform_block(1, [0], 8), uniform_block(2, [0], 8))
 
     def test_mean_is_half(self):
-        u = uniforms(3, 0, 200_000)
-        assert abs(u.mean() - 0.5) < 4 * u.std() / math.sqrt(len(u))
+        u = uniform_block(3, [0], 200_000)
+        assert abs(u.mean() - 0.5) < 4 * u.std() / math.sqrt(u.size)
+
+    @pytest.mark.parametrize("seed, stream, counter, value", [
+        (0, 0, 0, "0x1.c4415072f63bap-1"),
+        (7, 3, 4, "0x1.3f9f3ad9257b9p-2"),
+        (2 ** 40 + 5, 123456, 999, "0x1.739527c6eef38p-1"),
+    ])
+    def test_pinned_values(self, seed, stream, counter, value):
+        # The stream contract: every Monte Carlo output depends on these.
+        assert uniform_block(seed, [stream], counter + 1)[0, -1].hex() == value
 
 
 class TestSampleArrivals:
@@ -95,6 +109,8 @@ class TestSampleArrivals:
             sample_arrivals(0, 1.0, 1)
         with pytest.raises(ValueError):
             sample_arrivals(3, 0.0, 1)
+        with pytest.raises(ValueError):
+            sample_arrivals(3, math.nan, 1)
 
 
 class TestMcMoment:
@@ -130,3 +146,36 @@ class TestMcMoment:
             mc_moment(1, 0, 1.0, 1.0, 1, seed=0)
         with pytest.raises(ValueError):
             mc_moment(1, 0, -1.0, 1.0, 10, seed=0)
+        with pytest.raises(ValueError):
+            mc_moment(1, 0, math.nan, 1.0, 10, seed=0)
+        with pytest.raises(ValueError):
+            mc_moment(1, 0, 1.0, math.nan, 10, seed=0)
+
+
+class TestBlockedEstimate:
+    @pytest.mark.parametrize("loc, scale", [(1e8, 1.0), (1e-300, 1e-300)])
+    def test_stderr_does_not_cancel(self, loc, scale):
+        # Values loc + scale * U(0, 1) over 5 blocks of 1024 rows: at 1e8,
+        # sum(v^2) - n mean^2 would lose every digit of the variance; at
+        # 1e-300, every square underflows.
+        def sample(lo, hi):
+            return loc + scale * uniform_block(4, np.arange(lo, hi), 1)[:, 0]
+
+        est = blocked_estimate(sample, 5000, 1 << 12, seed=4)
+        v = sample(0, 5000)
+        assert est.mean == pytest.approx(np.mean(v), rel=1e-15)
+        assert est.stderr / scale == pytest.approx(
+            np.std(v / scale, ddof=1) / math.sqrt(5000), rel=1e-9)
+
+    def test_memory_is_bounded(self):
+        # A stream block holds at most 2^22 float64 uniforms (32 MB), and
+        # fewer than 8 block-sized arrays are alive at once.
+        for run in (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0),
+                    lambda: mc_sorted_cost(4096, 1.0, 4096, 0)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * (1 << 22) * 8, peak
