@@ -3,7 +3,7 @@
 Subcommands: moment, sum, verify, simulate, matching.  Results go to
 stdout as text, JSON, or CSV; diagnostics go to stderr.  Exit codes:
 0 success, 1 verification failure, 2 usage error, 3 internal
-cross-check mismatch.
+cross-check mismatch, 141 (128 + SIGPIPE) stdout closed by its reader.
 
 Rationals are always emitted losslessly as numerator/denominator
 strings, however many digits they have; decimal renderings are labeled
@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CROSS_CHECK = 3
+EXIT_BROKEN_PIPE = 141
 
 _SEED_ENV = "POISSON_MOMENTS_SEED"
 
@@ -359,7 +360,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that the
+        # interpreter's flush at exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

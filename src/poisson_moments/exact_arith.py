@@ -34,12 +34,14 @@ def binomial(n: int, k: int) -> Rat:
 
 
 def pochhammer(x: Rat | int, n: int) -> Rat:
-    """Rising factorial x(x+1)...(x+n-1); equals 1 when n = 0."""
+    """Rising factorial x(x+1)...(x+n-1); equals 1 when n = 0.
+
+    For x = p/q in lowest terms, x + i = (p + i*q)/q, so the product is one
+    integer product over q^n, reduced by a single gcd.
+    """
     if n < 0:
         raise ValueError(f"pochhammer requires n >= 0, got {n}")
     x = Rat(x)
-    out = Rat(1)
-    for i in range(n):
-        out *= x + i
-    return out
+    p, q = x.numerator, x.denominator
+    return Rat(math.prod(range(p, p + n * q, q)), q ** n)
 

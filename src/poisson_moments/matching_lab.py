@@ -6,7 +6,8 @@ permutation oracle at small n, and fits the empirical cost-versus-n
 scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
 from rate-1 gaps, each distance divided by n before it is raised to b,
 and reduced by `oracles.blocked_estimate`, which bounds memory whatever
-n or trials is.
+n or trials is.  numpy is imported inside the functions that sample or
+fit, so the exact expected cost and the brute-force oracle do not load it.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations
-
-import numpy as np
 
 from .closed_forms import sum_moments
 from .exact_arith import Rat
@@ -61,6 +60,8 @@ class ScalingFit:
 def sorted_matching_cost(xs: ArrivalSequence, ys: ArrivalSequence,
                          b: float) -> float:
     """sum_k |X_k - Y_k|^b for the index-to-index (sorted) matching."""
+    import numpy as np
+
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     return float(np.sum(np.abs(xs.times - ys.times) ** b))
@@ -103,6 +104,8 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
                    stream_offset: int = 0) -> MCEstimate:
     """Monte Carlo mean of the sorted matching cost at lambda = n; trial t
     uses streams 2(stream_offset+t) and 2(stream_offset+t)+1."""
+    import numpy as np
+
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if not (n >= 1 and b > 0):
@@ -124,6 +127,8 @@ def scaling_experiment(b: float, n_grid: list, trials: int,
     Grid point g uses stream pairs g*trials .. (g+1)*trials - 1, so every
     instance across the whole experiment has a distinct stream address.
     """
+    import numpy as np
+
     n_grid = list(n_grid)
     if (len(n_grid) < 2 or n_grid[0] < 1
             or any(m >= n for m, n in zip(n_grid, n_grid[1:]))):

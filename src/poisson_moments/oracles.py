@@ -10,7 +10,9 @@ Two routes that share no code with the closed forms:
 
 Every Monte Carlo estimate draws rate-1 gaps (`rate1_gaps`), divides each
 distance by the rate before raising it to b, and reduces the values with
-`blocked_estimate`, in blocks of bounded memory.
+`blocked_estimate`, in blocks of bounded memory.  numpy is imported inside
+the functions that draw or reduce samples, so the exact oracle (and every
+caller that never samples) does not load it.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exact_arith import Rat
-from .prng import uniform_block
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MCEstimate",
@@ -56,6 +59,8 @@ class ArrivalSequence:
     rate: float
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         if len(self.times) and not np.all(np.diff(self.times) > 0):
             raise ValueError("arrival times must be strictly increasing")
 
@@ -111,12 +116,18 @@ def exact_moment_first_principles(i: int, k: int, a: int,
 def rate1_gaps(seed: int, streams, n: int) -> np.ndarray:
     """Inverse-CDF Exp(1) gaps -log(1-U) for counters 0..n-1 of each
     stream; shape (len(streams), n)."""
+    import numpy as np
+
+    from .prng import uniform_block
+
     return -np.log1p(-uniform_block(seed, streams, n))
 
 
 def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
     """sum(weight * d^2) as (q, e) with the sum = q * 4^e, taken on the exact
     d * 2^-e so that squares near the float floor do not underflow."""
+    import numpy as np
+
     e = int(np.frexp(np.max(np.abs(d)))[1])
     return float(np.sum(weight * np.ldexp(d, -e) ** 2)), e
 
@@ -128,6 +139,8 @@ def blocked_estimate(sample, rows: int, width: int, seed: int) -> MCEstimate:
     values beyond float range come out as inf or nan, an M2 beyond it as
     stderr = inf.
     """
+    import numpy as np
+
     step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
     blocks = []
     total = 0.0
@@ -155,6 +168,8 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> ArrivalSe
     divided by lam, so identical (seed, stream, n, lam) always reproduces
     the identical sequence.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not lam > 0:
@@ -170,6 +185,8 @@ def mc_moment(k: int, r: int, b: float, lam: float,
     Pair m draws its two processes from streams 2m and 2m+1, so the
     result is a pure function of (seed, k, r, b, lam, samples).
     """
+    import numpy as np
+
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if not (k >= 1 and r >= 0 and b > 0 and lam > 0):

@@ -103,28 +103,6 @@ class TestVerify:
                        "--max-k", "4", "--max-n", "4")
         assert all(suite["all_passed"] for suite in doc["results"].values())
 
-    def test_all_suites_with_numpy_as_the_only_dependency(self):
-        # Any import outside the standard library, numpy and the package fails.
-        code = textwrap.dedent("""
-            import sys
-
-            class OnlyNumpy:
-                def find_spec(self, name, path=None, target=None):
-                    top = name.partition(".")[0]
-                    if top not in (*sys.stdlib_module_names, "numpy",
-                                   "poisson_moments"):
-                        raise ImportError(f"unexpected dependency: {name}")
-
-            sys.meta_path.insert(0, OnlyNumpy())
-            from poisson_moments import cli
-            sys.exit(cli.main(["--format", "json", "verify"]))
-            """)
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        results = json.loads(proc.stdout)["results"]
-        assert sum(suite["cases"] for suite in results.values()) == 1188
-
     def test_unknown_suite_is_usage_error(self):
         assert run_cli("verify", "--suite", "bogus").returncode == 2
 
@@ -135,6 +113,66 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             cli.main(["verify", "--suite", "gould", flag, bound])
         assert exc.value.code == 2
+
+
+class TestDependencies:
+    # Any import outside the standard library, the package and the one
+    # module named in argv fails; only the sampling commands may load numpy.
+    _HOOK = textwrap.dedent("""
+        import sys
+
+        allowed = {*sys.stdlib_module_names, "poisson_moments", sys.argv[1]}
+
+        class OnlyAllowed:
+            def find_spec(self, name, path=None, target=None):
+                if name.partition(".")[0] not in allowed:
+                    raise ImportError(f"unexpected dependency: {name}")
+
+        sys.meta_path.insert(0, OnlyAllowed())
+        from poisson_moments import cli
+        sys.exit(cli.main(["--format", "json", *sys.argv[2:]]))
+        """)
+
+    @pytest.mark.parametrize("allowed, argv", [
+        pytest.param("", ["verify"], id="verify"),
+        # --cross-check also runs every other formula for that parity
+        pytest.param("", ["moment", "--k", "3", "--r", "2", "--a", "5",
+                          "--cross-check"], id="moment-odd"),
+        pytest.param("", ["moment", "--k", "3", "--a", "4", "--cross-check"],
+                     id="moment-even"),
+        pytest.param("", ["sum", "--n", "20", "--a", "3", "--verify"],
+                     id="sum-verify"),
+        pytest.param("numpy", ["simulate", "--k", "2", "--b", "1.5",
+                               "--samples", "1000"], id="simulate"),
+        pytest.param("numpy", ["matching", "--b", "1", "--n-max", "32",
+                               "--trials", "5"], id="matching"),
+    ])
+    def test_imports(self, allowed, argv):
+        proc = subprocess.run([sys.executable, "-c", self._HOOK, allowed, *argv],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)["results"]
+        if argv == ["verify"]:
+            assert sum(suite["cases"] for suite in results.values()) == 1188
+
+
+class TestBrokenPipe:
+    @pytest.mark.parametrize("argv", [
+        ["moment", "--k", "1", "--a", "1"],  # fits the stdout buffer
+        ["--format", "json", "sum", "--n", "2000", "--a", "3"],  # does not
+    ], ids=["short", "long"])
+    def test_closed_stdout_exits_141(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the child writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "poisson_moments.cli", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+        assert proc.stderr == ""
 
 
 class TestSimulate:

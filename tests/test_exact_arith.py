@@ -36,6 +36,22 @@ def test_pochhammer_values():
     assert pochhammer(3, 0) == 1
     assert pochhammer(1, 4) == 24
     assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
+    assert pochhammer(Fraction(1, 3), 4) == Fraction(1 * 4 * 7 * 10, 3 ** 4)
+    assert pochhammer(-3, 5) == 0  # the factor x + 3 is zero
+    assert (pochhammer(10 ** 18 + Fraction(1, 2), 5)
+            == Fraction((2 * 10 ** 18 + 1) * (2 * 10 ** 18 + 3)
+                        * (2 * 10 ** 18 + 5) * (2 * 10 ** 18 + 7)
+                        * (2 * 10 ** 18 + 9), 2 ** 5))
+
+
+@given(st.fractions(max_denominator=60), st.integers(0, 40))
+def test_pochhammer_matches_repeated_multiplication(x, n):
+    # The algebraic identities below hold for some wrong kernels too; this
+    # pins the values against the defining product, one factor at a time.
+    expected = Fraction(1)
+    for i in range(n):
+        expected *= x + i
+    assert pochhammer(x, n) == expected
 
 
 @given(st.fractions(max_denominator=50), st.integers(0, 12), st.integers(0, 12))
