@@ -26,7 +26,6 @@ from .matching_lab import (
     sorted_matching_cost,
 )
 from .oracles import (
-    ArrivalSequence,
     MCEstimate,
     exact_moment_first_principles,
     mc_moment,

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import os
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import closed_forms, identities, matching_lab, oracles
 from .exact_arith import Rat
@@ -110,44 +110,62 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(record: dict, rows: list[dict], fmt: str) -> None:
-    """Write one result record; `rows` is its tabular (CSV) projection."""
+# CSV columns per command, as listed in docs/formats.md.
+_COLUMNS = {
+    "moment": "command,k,r,a,lambda,num,den,approx,cross_check",
+    "sum": "command,n,a,lambda,num,den,approx,verified",
+    "verify": "command,suite,cases,all_passed,first_failure",
+    "simulate": "command,k,r,b,lambda,samples,seed,mean,stderr,"
+                "exact_num,exact_den,zscore",
+    "matching": "command,b,n,mean_cost,slope,intercept,r_squared,trials,seed",
+}
+
+
+class _Outcome(NamedTuple):
+    """What one command computed; `main` builds the record from it."""
+
+    parameters: dict
+    results: dict
+    rows: tuple = ({},)  # each CSV row's cells beyond the record's
+    failure: str | None = None  # a failed identity suite's stderr line
+
+
+def _emit(record: dict, rows, fmt: str) -> None:
+    """Write one result record.  A CSV row holds `command`, the parameters,
+    the results (a rational as num/den/approx under the command's own key,
+    as <key>_num/<key>_den/<key>_approx otherwise) and the row's cells."""
     if fmt == "json":
         print(json.dumps(record, indent=2, allow_nan=False))
     elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
+        command = record["command"]
+        cells = {"command": command, **record["parameters"]}
+        for key, value in record["results"].items():
+            if isinstance(value, dict) and "num" in value:
+                prefix = "" if key == command else f"{key}_"
+                cells.update({prefix + part: v for part, v in value.items()})
+            else:
+                cells[key] = value
+        columns = _COLUMNS[command].split(",")
+        writer = csv.writer(sys.stdout)
+        writer.writerow(columns)
         for row in rows:
-            writer.writerow({k: (_fmt_float(v) if isinstance(v, float) else v)
-                             for k, v in row.items()})
-        sys.stdout.write(buf.getvalue())
+            row = {**cells, **row}
+            writer.writerow([_fmt_float(v) if isinstance(v, float) else v
+                             for v in (row.get(c, "") for c in columns)])
     else:
-        for line in _text_lines(record):
-            print(line)
+        print(f"command: {record['command']}")
+        for key, value in record["parameters"].items():
+            print(f"  {key} = {value}")
+        for key, value in record["results"].items():
+            if isinstance(value, dict) and "num" in value:
+                approx = ("" if value["approx"] is None
+                          else f" (approx {_fmt_float(value['approx'])})")
+                value = f"{value['num']}/{value['den']}{approx}"
+            print(f"  {key} = {value}")
+        print(f"  timing_ms = {record['timing_ms']:.3f}")
 
 
-def _text_lines(record: dict):
-    yield f"command: {record['command']}"
-    for key, value in record["parameters"].items():
-        yield f"  {key} = {value}"
-    for key, value in record["results"].items():
-        if isinstance(value, dict) and "num" in value:
-            approx = ("" if value["approx"] is None
-                      else f" (approx {_fmt_float(value['approx'])})")
-            yield f"  {key} = {value['num']}/{value['den']}{approx}"
-        else:
-            yield f"  {key} = {value}"
-    yield f"  timing_ms = {record['timing_ms']:.3f}"
-
-
-def _record(command: str, parameters: dict, results: dict, t0: float) -> dict:
-    return {"command": command, "parameters": parameters, "results": results,
-            "timing_ms": (time.perf_counter() - t0) * 1000.0}
-
-
-def cmd_moment(args) -> int:
-    t0 = time.perf_counter()
+def cmd_moment(args) -> _Outcome:
     q = closed_forms.MomentQuery(k=args.k, r=args.r, a=args.a, lam=args.lam)
     value = closed_forms.moment(q).value
     results = {"moment": _rat_fields(value)}
@@ -167,44 +185,29 @@ def cmd_moment(args) -> int:
             methods["diagonal"] = closed_forms.diagonal_moment(
                 args.k, args.a, args.lam).value
         mismatches = {name: str(v) for name, v in methods.items() if v != value}
-        results["cross_check"] = {"methods": sorted(methods), "agree": not mismatches}
         if mismatches:
-            print(f"cross-check mismatch: {mismatches}", file=sys.stderr)
-            return EXIT_CROSS_CHECK
-    record = _record("moment", {"k": args.k, "r": args.r, "a": args.a,
-                                "lambda": str(args.lam)}, results, t0)
-    row = {"command": "moment", "k": args.k, "r": args.r, "a": args.a,
-           "lambda": str(args.lam),
-           "num": results["moment"]["num"], "den": results["moment"]["den"],
-           "approx": results["moment"]["approx"],
-           "cross_check": args.cross_check}
-    _emit(record, [row], args.format)
-    return EXIT_OK
+            raise closed_forms.CrossCheckError(mismatches)
+        results["cross_check"] = {"methods": sorted(methods), "agree": True}
+    return _Outcome({"k": args.k, "r": args.r, "a": args.a,
+                     "lambda": str(args.lam)}, results,
+                    rows=({"cross_check": args.cross_check},))
 
 
-def cmd_sum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_sum(args) -> _Outcome:
     value = closed_forms.sum_moments(args.n, args.a, args.lam).value
     results = {"sum": _rat_fields(value)}
     if args.verify:
         by_terms = sum(closed_forms.diagonal_moment(k, args.a, args.lam).value
                        for k in range(1, args.n + 1))
-        results["verified"] = by_terms == value
         if by_terms != value:
-            print(f"term-by-term mismatch: {by_terms} != {value}", file=sys.stderr)
-            return EXIT_CROSS_CHECK
-    record = _record("sum", {"n": args.n, "a": args.a, "lambda": str(args.lam)},
-                     results, t0)
-    row = {"command": "sum", "n": args.n, "a": args.a, "lambda": str(args.lam),
-           "num": results["sum"]["num"], "den": results["sum"]["den"],
-           "approx": results["sum"]["approx"],
-           "verified": results.get("verified", "")}
-    _emit(record, [row], args.format)
-    return EXIT_OK
+            raise closed_forms.CrossCheckError(
+                f"term-by-term sum {by_terms} != {value}")
+        results["verified"] = True
+    return _Outcome({"n": args.n, "a": args.a, "lambda": str(args.lam)},
+                    results)
 
 
-def cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_verify(args) -> _Outcome:
     suites = list(identities.SUITES) if args.suite == "all" else [args.suite]
     reports = [identities.run_suite(name, max_a=args.max_a, max_k=args.max_k,
                                     max_n=args.max_n)
@@ -214,23 +217,15 @@ def cmd_verify(args) -> int:
                         "first_failure": (None if r.first_failure is None
                                           else [str(p) for p in r.first_failure])}
                for r in reports}
-    record = _record("verify", {"suite": args.suite}, results, t0)
-    rows = [{"command": "verify", "suite": name, "cases": res["cases"],
-             "all_passed": res["all_passed"],
-             "first_failure": "" if res["first_failure"] is None
-             else "/".join(res["first_failure"])}
-            for name, res in results.items()]
-    _emit(record, rows, args.format)
-    for r in reports:
-        if not r.all_passed:
-            print(f"identity suite {r.name} FAILED at {r.first_failure}",
-                  file=sys.stderr)
-            return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    rows = tuple({"suite": name, **res,
+                  "first_failure": "/".join(res["first_failure"] or [])}
+                 for name, res in results.items())
+    failure = next((f"identity suite {r.name} FAILED at {r.first_failure}"
+                    for r in reports if not r.all_passed), None)
+    return _Outcome({"suite": args.suite}, results, rows, failure)
 
 
-def cmd_simulate(args) -> int:
-    t0 = time.perf_counter()
+def cmd_simulate(args) -> _Outcome:
     est = oracles.mc_moment(args.k, args.r, args.b,
                             _in_float_range("lambda", args.lam),
                             args.samples, args.seed)
@@ -238,28 +233,17 @@ def cmd_simulate(args) -> int:
     _in_float_range("Monte Carlo stderr", est.stderr)
     results = {"mean": est.mean, "stderr": est.stderr,
                "samples": est.samples, "seed": est.seed}
-    exact_num = exact_den = zscore = ""
     if args.b.is_integer():
         exact = closed_forms.moment(closed_forms.MomentQuery(
             k=args.k, r=args.r, a=int(args.b), lam=args.lam)).value
         results["exact"] = _rat_fields(exact)
         results["zscore"] = est.zscore(_in_float_range("exact moment", exact))
-        exact_num, exact_den = str(exact.numerator), str(exact.denominator)
-        zscore = results["zscore"]
-    record = _record("simulate", {"k": args.k, "r": args.r, "b": args.b,
-                                  "lambda": str(args.lam),
-                                  "samples": args.samples, "seed": args.seed},
-                     results, t0)
-    row = {"command": "simulate", "k": args.k, "r": args.r, "b": args.b,
-           "lambda": str(args.lam), "samples": args.samples, "seed": args.seed,
-           "mean": est.mean, "stderr": est.stderr,
-           "exact_num": exact_num, "exact_den": exact_den, "zscore": zscore}
-    _emit(record, [row], args.format)
-    return EXIT_OK
+    return _Outcome({"k": args.k, "r": args.r, "b": args.b,
+                     "lambda": str(args.lam), "samples": args.samples,
+                     "seed": args.seed}, results)
 
 
-def cmd_matching(args) -> int:
-    t0 = time.perf_counter()
+def cmd_matching(args) -> _Outcome:
     if args.n_max < args.n_min * args.grid_factor:
         raise ValueError("--n-max must be >= --n-min * --grid-factor "
                          "so that the fit has at least 2 grid points")
@@ -272,18 +256,11 @@ def cmd_matching(args) -> int:
     results = {"n_grid": fit.n_grid, "mean_costs": fit.mean_costs,
                "slope": fit.slope, "intercept": fit.intercept,
                "r_squared": fit.r_squared}
-    record = _record("matching", {"b": args.b, "n_min": args.n_min,
-                                  "n_max": args.n_max,
-                                  "grid_factor": args.grid_factor,
-                                  "trials": args.trials, "seed": args.seed},
-                     results, t0)
-    rows = [{"command": "matching", "b": args.b, "n": n, "mean_cost": c,
-             "slope": fit.slope, "intercept": fit.intercept,
-             "r_squared": fit.r_squared, "trials": args.trials,
-             "seed": args.seed}
-            for n, c in zip(fit.n_grid, fit.mean_costs)]
-    _emit(record, rows, args.format)
-    return EXIT_OK
+    return _Outcome({"b": args.b, "n_min": args.n_min, "n_max": args.n_max,
+                     "grid_factor": args.grid_factor, "trials": args.trials,
+                     "seed": args.seed}, results,
+                    rows=tuple({"n": n, "mean_cost": c}
+                               for n, c in zip(fit.n_grid, fit.mean_costs)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,13 +327,23 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "seed") and args.seed is None:
             args.seed = _default_seed()
-        return args.func(args)
+        t0 = time.perf_counter()
+        outcome = args.func(args)
+        record = {"command": args.subcommand,
+                  "parameters": outcome.parameters,
+                  "results": outcome.results,
+                  "timing_ms": (time.perf_counter() - t0) * 1000.0}
+        _emit(record, outcome.rows, args.format)
     except closed_forms.CrossCheckError as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return EXIT_CROSS_CHECK
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if outcome.failure:
+        print(outcome.failure, file=sys.stderr)
+        return EXIT_VERIFY_FAILED
+    return EXIT_OK
 
 
 def run() -> None:

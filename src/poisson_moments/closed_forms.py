@@ -64,9 +64,6 @@ class MomentValue:
         return MomentValue(value=normalized / Rat(lam) ** a,
                            normalized=normalized)
 
-    def approx(self) -> float:
-        return float(self.value)
-
 
 def _require_parity(a: int, want_odd: bool, who: str) -> None:
     if a < 1:

@@ -18,8 +18,7 @@ from itertools import permutations
 
 from .closed_forms import sum_moments
 from .exact_arith import Rat
-from .oracles import (ArrivalSequence, MCEstimate, blocked_estimate,
-                      rate1_gaps, sample_arrivals)
+from .oracles import MCEstimate, blocked_estimate, rate1_gaps, sample_arrivals
 
 __all__ = [
     "MatchingRun",
@@ -37,12 +36,10 @@ _BRUTE_FORCE_LIMIT = 8
 
 @dataclass(frozen=True)
 class MatchingRun:
-    """One sampled bicolored configuration and its per-policy costs."""
+    """The per-policy costs of one sampled bicolored configuration."""
 
     n: int
     b: float
-    xs: ArrivalSequence
-    ys: ArrivalSequence
     sorted_cost: float
     optimal_cost: float
 
@@ -57,14 +54,14 @@ class ScalingFit:
     r_squared: float
 
 
-def sorted_matching_cost(xs: ArrivalSequence, ys: ArrivalSequence,
-                         b: float) -> float:
-    """sum_k |X_k - Y_k|^b for the index-to-index (sorted) matching."""
+def sorted_matching_cost(xs, ys, b: float) -> float:
+    """sum_k |X_k - Y_k|^b for the index-to-index (sorted) matching of two
+    arrays of arrival times."""
     import numpy as np
 
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    return float(np.sum(np.abs(xs.times - ys.times) ** b))
+    return float(np.sum(np.abs(xs - ys) ** b))
 
 
 def optimal_matching_cost_bruteforce(xs, ys, b: float) -> float:
@@ -94,10 +91,8 @@ def sample_matching_run(n: int, b: float, seed: int,
     its sorted and brute-force optimal costs (n <= 8)."""
     xs = sample_arrivals(n, float(n), seed, 2 * stream_pair)
     ys = sample_arrivals(n, float(n), seed, 2 * stream_pair + 1)
-    return MatchingRun(n=n, b=b, xs=xs, ys=ys,
-                       sorted_cost=sorted_matching_cost(xs, ys, b),
-                       optimal_cost=optimal_matching_cost_bruteforce(
-                           xs.times, ys.times, b))
+    return MatchingRun(n=n, b=b, sorted_cost=sorted_matching_cost(xs, ys, b),
+                       optimal_cost=optimal_matching_cost_bruteforce(xs, ys, b))
 
 
 def mc_sorted_cost(n: int, b: float, trials: int, seed: int,

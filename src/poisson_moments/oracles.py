@@ -29,7 +29,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "MCEstimate",
-    "ArrivalSequence",
     "exact_moment_first_principles",
     "sample_arrivals",
     "mc_moment",
@@ -49,23 +48,6 @@ class MCEstimate:
 
     def zscore(self, exact: float) -> float:
         return (self.mean - exact) / self.stderr
-
-
-@dataclass(frozen=True)
-class ArrivalSequence:
-    """Strictly increasing arrival times of one sampled Poisson process."""
-
-    times: np.ndarray
-    rate: float
-
-    def __post_init__(self) -> None:
-        import numpy as np
-
-        if len(self.times) and not np.all(np.diff(self.times) > 0):
-            raise ValueError("arrival times must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.times)
 
 
 def _raw_moment(idx: int, j: int) -> Rat:
@@ -161,7 +143,7 @@ def blocked_estimate(sample, rows: int, width: int, seed: int) -> MCEstimate:
     return MCEstimate(mean=mean, stderr=stderr, samples=rows, seed=seed)
 
 
-def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> ArrivalSequence:
+def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarray:
     """First n arrival times of a rate-lam Poisson process.
 
     The arrivals are the cumulative sums of the stream's rate-1 gaps,
@@ -174,8 +156,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> ArrivalSe
         raise ValueError(f"n must be >= 1, got {n}")
     if not lam > 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    times = np.cumsum(rate1_gaps(seed, [stream], n)[0]) / lam
-    return ArrivalSequence(times=times, rate=lam)
+    return np.cumsum(rate1_gaps(seed, [stream], n)[0]) / lam
 
 
 def mc_moment(k: int, r: int, b: float, lam: float,

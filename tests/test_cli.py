@@ -2,11 +2,13 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -357,3 +359,101 @@ class TestOutputContract:
         proc = run_cli("moment", "--k", "2", "--a", "1")
         assert proc.returncode == 0
         assert "3/2" in proc.stdout
+
+
+
+class TestExitPaths:
+    """Exit codes that `main` maps, run in process with stdout and stderr
+    sharing one buffer, so the order of their lines shows too."""
+
+    def _run(self, argv):
+        buf = io.StringIO(newline="")
+        with redirect_stdout(buf), redirect_stderr(buf):
+            code = cli.main(argv)
+        return code, buf.getvalue().splitlines()
+
+    def test_failed_suite_exits_1_after_the_record(self, monkeypatch):
+        real = cli.identities.check_partial_geometric
+        monkeypatch.setattr(cli.identities, "check_partial_geometric",
+                            lambda m: m != 3 and real(m))
+        code, lines = self._run(["--format", "csv", "verify",
+                                 "--suite", "geometric", "--max-n", "5"])
+        assert code == cli.EXIT_VERIFY_FAILED == 1
+        assert lines == ["command,suite,cases,all_passed,first_failure",
+                         "verify,geometric,6,False,3",
+                         "identity suite geometric FAILED at (3,)"]
+
+    def test_sum_term_by_term_mismatch_exits_3(self, monkeypatch):
+        real = closed_forms.diagonal_moment
+
+        def off_by_one_at_k2(k, a, lam=1):
+            value = real(k, a, lam)
+            return value if k != 2 else closed_forms.MomentValue(
+                value.value + 1, value.normalized)
+
+        monkeypatch.setattr(closed_forms, "diagonal_moment", off_by_one_at_k2)
+        code, lines = self._run(["--format", "json", "sum", "--n", "3",
+                                 "--a", "1", "--verify"])
+        assert code == cli.EXIT_CROSS_CHECK == 3
+        assert lines == ["cross-check mismatch: term-by-term sum 43/8 != 35/8"]
+
+
+class TestCsvColumns:
+    _ARGVS = {
+        "moment": ["moment", "--k", "1", "--a", "1"],
+        "sum": ["sum", "--n", "1", "--a", "1"],
+        "verify": ["verify", "--suite", "geometric", "--max-n", "1"],
+        "simulate": ["simulate", "--k", "1", "--b", "1", "--samples", "10"],
+        "matching": ["matching", "--b", "1", "--n-max", "16", "--trials", "2"],
+    }
+
+    def test_docs_list_the_header_each_command_writes(self, capsys):
+        doc = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+        section = doc.split("## CSV columns per command")[1].split("\n## ")[0]
+        documented = dict(re.findall(r"^- `(\w+)`.*?`(command,[\w,]+)`",
+                                     section, re.MULTILINE | re.DOTALL))
+        written = {}
+        for command, argv in self._ARGVS.items():
+            assert cli.main(["--format", "csv", *argv]) == 0
+            written[command] = capsys.readouterr().out.splitlines()[0]
+        assert documented == written
+
+# Each argv runs in every format; tests/data/cli/<id>.<format> holds its
+# stdout as the CLI wrote it before the one-record rewrite, minus timing_ms.
+_GOLDEN_ARGVS = {
+    "moment-odd-cross-check": ["moment", "--k", "3", "--r", "2", "--a", "5",
+                               "--cross-check"],
+    "moment-even-cross-check": ["moment", "--k", "3", "--a", "4",
+                                "--lambda", "2/3", "--cross-check"],
+    "moment-approx-null": ["moment", "--k", "1", "--a", "200",
+                           "--lambda", "1/1000"],
+    "sum": ["sum", "--n", "20", "--a", "3"],
+    "sum-verify": ["sum", "--n", "20", "--a", "3", "--lambda", "3/2",
+                   "--verify"],
+    "verify-all": ["verify"],
+    "verify-one": ["verify", "--suite", "gould", "--max-a", "9"],
+    "simulate-integer-b": ["simulate", "--k", "2", "--r", "1", "--b", "2",
+                           "--samples", "2000", "--seed", "5"],
+    "simulate-fractional-b": ["simulate", "--k", "3", "--b", "1.5",
+                              "--lambda", "2/3", "--samples", "2000",
+                              "--seed", "5"],
+    "matching": ["matching", "--b", "1.5", "--n-max", "64", "--trials", "10",
+                 "--seed", "3"],
+}
+_GOLDEN_DIR = Path(__file__).parent / "data" / "cli"
+
+
+def _without_timing(out, fmt):
+    """stdout with its one timing_ms JSON key or text line removed."""
+    out, count = re.subn(r',?\n *("timing_ms": |timing_ms = )[^\n]*', "", out)
+    assert count == (fmt != "csv"), out
+    return out
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_ARGVS))
+    def test_stdout_is_unchanged(self, name, fmt, capsys):
+        assert cli.main(["--format", fmt, *_GOLDEN_ARGVS[name]]) == 0
+        golden = (_GOLDEN_DIR / f"{name}.{fmt}").read_bytes().decode()
+        assert _without_timing(capsys.readouterr().out, fmt) == golden

@@ -14,11 +14,10 @@ from poisson_moments.matching_lab import (
     scaling_experiment,
     sorted_matching_cost,
 )
-from poisson_moments.oracles import ArrivalSequence
 
 
 def _seq(values):
-    return ArrivalSequence(times=np.asarray(values, dtype=float), rate=1.0)
+    return np.asarray(values, dtype=float)
 
 
 class TestSortedCost:
