@@ -220,8 +220,9 @@ def cmd_verify(args) -> _Outcome:
     rows = tuple({"suite": name, **res,
                   "first_failure": "/".join(res["first_failure"] or [])}
                  for name, res in results.items())
-    failure = next((f"identity suite {r.name} FAILED at {r.first_failure}"
-                    for r in reports if not r.all_passed), None)
+    failure = next((f"identity suite {row['suite']} FAILED at "
+                    f"{row['first_failure']}"
+                    for row in rows if not row["all_passed"]), None)
     return _Outcome({"suite": args.suite}, results, rows, failure)
 
 
@@ -231,8 +232,7 @@ def cmd_simulate(args) -> _Outcome:
                             args.samples, args.seed)
     _in_float_range("Monte Carlo mean", est.mean)
     _in_float_range("Monte Carlo stderr", est.stderr)
-    results = {"mean": est.mean, "stderr": est.stderr,
-               "samples": est.samples, "seed": est.seed}
+    results = {"mean": est.mean, "stderr": est.stderr}
     if args.b.is_integer():
         exact = closed_forms.moment(closed_forms.MomentQuery(
             k=args.k, r=args.r, a=int(args.b), lam=args.lam)).value

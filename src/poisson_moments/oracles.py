@@ -10,14 +10,21 @@ Two routes that share no code with the closed forms:
 
 Every Monte Carlo estimate draws rate-1 gaps (`rate1_gaps`), divides each
 distance by the rate before raising it to b, and reduces the values with
-`blocked_estimate`, in blocks of bounded memory.  numpy is imported inside
-the functions that draw or reduce samples, so the exact oracle (and every
-caller that never samples) does not load it.
+`blocked_estimate`, in blocks of bounded memory.  Each block's rows are
+sampled as contiguous slices, one per CPU the process may run on, on a
+thread pool, and joined in row order.  Row i of every sampler is a pure
+function of its stream addresses (the PRNG is counter-based, and sums and
+cumulative sums run along the row), so the block, and with it every mean
+and stderr, is bit-identical for any number of threads.  numpy and the
+thread pool are imported inside the functions that draw or reduce samples,
+so the exact oracle (and every caller that never samples) loads neither.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -37,6 +44,9 @@ __all__ = [
 # Rows per block and uniforms per stream block; they fix the summation order.
 _BLOCK_ROWS = 1 << 16
 _BLOCK_UNIFORMS = 1 << 22
+# Threads that sample one block's row slices; the result does not depend on it.
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -116,19 +126,35 @@ def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
 
 def blocked_estimate(sample, rows: int, width: int, seed: int) -> MCEstimate:
     """Mean and stderr of the values that sample(lo, hi) returns for rows
-    lo..hi-1, where one stream draws `width` uniforms per row.  Blocks are
-    merged in order by their (n, sum, M2) (Chan, Golub & LeVeque 1979);
-    values beyond float range come out as inf or nan, an M2 beyond it as
-    stderr = inf.
+    lo..hi-1, where one stream draws `width` uniforms per row.  Each block
+    is sampled as `_WORKERS` contiguous row slices on threads and joined in
+    row order; blocks are merged in order by their (n, sum, M2) (Chan,
+    Golub & LeVeque 1979).  Values beyond float range come out as inf or
+    nan, an M2 beyond it as stderr = inf.
     """
     import numpy as np
+
+    def part(lo: int, hi: int) -> np.ndarray:
+        # numpy's error state is per thread; a worker does not inherit it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sample(lo, hi)
 
     step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
     blocks = []
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
+    threads = _WORKERS > 1 and min(step, rows) >= _WORKERS
+    if threads:
+        from concurrent.futures import ThreadPoolExecutor
+    with (ThreadPoolExecutor(_WORKERS) if threads else contextlib.nullcontext()
+          ) as pool, np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, rows, step):
-            v = sample(lo, min(lo + step, rows))
+            hi = min(lo + step, rows)
+            if pool is None or hi - lo < _WORKERS:
+                v = sample(lo, hi)
+            else:
+                cuts = [lo + (hi - lo) * t // _WORKERS
+                        for t in range(_WORKERS + 1)]
+                v = np.concatenate(list(pool.map(part, cuts[:-1], cuts[1:])))
             s = float(np.sum(v))
             blocks.append((len(v), s / len(v), _sum_sq(v - s / len(v))))
             total += s

@@ -118,12 +118,14 @@ class TestVerify:
 
 
 class TestDependencies:
-    # Any import outside the standard library, the package and the one
-    # module named in argv fails; only the sampling commands may load numpy.
+    # Any import outside the standard library, the package and the modules
+    # named in argv fails; only the sampling commands may load numpy and the
+    # thread pool (concurrent.futures).
     _HOOK = textwrap.dedent("""
         import sys
 
-        allowed = {*sys.stdlib_module_names, "poisson_moments", sys.argv[1]}
+        allowed = ({*sys.stdlib_module_names} - {"concurrent"}
+                   | {"poisson_moments", *sys.argv[1].split()})
 
         class OnlyAllowed:
             def find_spec(self, name, path=None, target=None):
@@ -144,10 +146,10 @@ class TestDependencies:
                      id="moment-even"),
         pytest.param("", ["sum", "--n", "20", "--a", "3", "--verify"],
                      id="sum-verify"),
-        pytest.param("numpy", ["simulate", "--k", "2", "--b", "1.5",
-                               "--samples", "1000"], id="simulate"),
-        pytest.param("numpy", ["matching", "--b", "1", "--n-max", "32",
-                               "--trials", "5"], id="matching"),
+        pytest.param("numpy concurrent", ["simulate", "--k", "2", "--b", "1.5",
+                                          "--samples", "1000"], id="simulate"),
+        pytest.param("numpy concurrent", ["matching", "--b", "1", "--n-max",
+                                          "32", "--trials", "5"], id="matching"),
     ])
     def test_imports(self, allowed, argv):
         proc = subprocess.run([sys.executable, "-c", self._HOOK, allowed, *argv],
@@ -381,7 +383,7 @@ class TestExitPaths:
         assert code == cli.EXIT_VERIFY_FAILED == 1
         assert lines == ["command,suite,cases,all_passed,first_failure",
                          "verify,geometric,6,False,3",
-                         "identity suite geometric FAILED at (3,)"]
+                         "identity suite geometric FAILED at 3"]
 
     def test_sum_term_by_term_mismatch_exits_3(self, monkeypatch):
         real = closed_forms.diagonal_moment

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from poisson_moments import oracles
 from poisson_moments.closed_forms import (
     MomentQuery,
     diagonal_moment,
@@ -12,7 +13,7 @@ from poisson_moments.closed_forms import (
     moment,
     odd_moment_lemma2,
 )
-from poisson_moments.matching_lab import mc_sorted_cost
+from poisson_moments.matching_lab import mc_sorted_cost, scaling_experiment
 from poisson_moments.oracles import (
     blocked_estimate,
     exact_moment_first_principles,
@@ -134,12 +135,22 @@ class TestMcMoment:
                 bound = float(diagonal_moment(k, hi).value) ** (b / hi)
                 assert est.mean <= bound + 4 * est.stderr, (b, k, est.mean, bound)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_stderr_beyond_float_range_is_not_zero(self):
+    def test_stderr_beyond_float_range_is_not_zero(self, monkeypatch):
         # Some |d|^400.5 square past 1.8e308; the stderr used to read 0.0.
-        est = mc_moment(1, 0, 400.5, 1.0, 10, seed=1)
-        assert math.isfinite(est.mean)
-        assert est.stderr == math.inf
+        for workers in (1, 2):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            est = mc_moment(1, 0, 400.5, 1.0, 10, seed=1)
+            assert math.isfinite(est.mean)
+            assert est.stderr == math.inf
+
+    def test_values_beyond_float_range_are_inf(self, monkeypatch):
+        # Some |d|^1000 overflow inside the sampler, which runs on a worker
+        # thread when _WORKERS > 1; under filterwarnings=error a thread
+        # without its own errstate fails here.
+        for workers in (1, 2):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            est = mc_moment(1, 0, 1000.0, 1.0, 10, seed=1)
+            assert (est.mean, est.stderr) == (math.inf, math.inf)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -154,28 +165,57 @@ class TestMcMoment:
 
 class TestBlockedEstimate:
     @pytest.mark.parametrize("loc, scale", [(1e8, 1.0), (1e-300, 1e-300)])
-    def test_stderr_does_not_cancel(self, loc, scale):
+    def test_stderr_does_not_cancel(self, loc, scale, monkeypatch):
         # Values loc + scale * U(0, 1) over 5 blocks of 1024 rows: at 1e8,
         # sum(v^2) - n mean^2 would lose every digit of the variance; at
         # 1e-300, every square underflows.
         def sample(lo, hi):
             return loc + scale * uniform_block(4, np.arange(lo, hi), 1)[:, 0]
 
-        est = blocked_estimate(sample, 5000, 1 << 12, seed=4)
         v = sample(0, 5000)
-        assert est.mean == pytest.approx(np.mean(v), rel=1e-15)
-        assert est.stderr / scale == pytest.approx(
-            np.std(v / scale, ddof=1) / math.sqrt(5000), rel=1e-9)
+        for workers in (1, 2):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            est = blocked_estimate(sample, 5000, 1 << 12, seed=4)
+            assert est.mean == pytest.approx(np.mean(v), rel=1e-15)
+            assert est.stderr / scale == pytest.approx(
+                np.std(v / scale, ddof=1) / math.sqrt(5000), rel=1e-9)
 
-    def test_memory_is_bounded(self):
+    def test_memory_is_bounded(self, monkeypatch):
         # A stream block holds at most 2^22 float64 uniforms (32 MB), and
-        # fewer than 8 block-sized arrays are alive at once.
-        for run in (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0),
-                    lambda: mc_sorted_cost(4096, 1.0, 4096, 0)):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * (1 << 22) * 8, peak
+        # fewer than 8 block-sized arrays are alive at once, however many
+        # threads share a block's rows.
+        for workers in (1, 2):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            for run in (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0),
+                        lambda: mc_sorted_cost(4096, 1.0, 4096, 0)):
+                tracemalloc.start()
+                try:
+                    run()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 * (1 << 22) * 8, (workers, peak)
+
+    _WORKER_RUNS = {
+        # k + r = 272: 15420 rows per block, so 5 blocks, the last short
+        "several-blocks": lambda: mc_moment(256, 16, 1.5, 1.0, 65536, 3),
+        # width 2: blocks at the 2^16-row cap, then a 5-row block
+        "row-cap": lambda: mc_moment(1, 1, 2.5, 0.5, 3 * (1 << 16) + 5, 8),
+        "fewer-rows-than-workers": lambda: mc_moment(2, 1, 1.5, 1.0, 2, 6),
+        "sorted-cost": lambda: mc_sorted_cost(100, 1.5, 5000, 4),
+        "scaling": lambda: scaling_experiment(1.0, [8, 16, 32], 300, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_WORKER_RUNS))
+    def test_bits_do_not_depend_on_workers(self, name, monkeypatch):
+        def bits():
+            out = self._WORKER_RUNS[name]()
+            values = ([out.mean, out.stderr] if hasattr(out, "stderr")
+                      else [*out.mean_costs, out.slope])
+            return [float(x).hex() for x in values]
+
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            runs[workers] = bits()
+        assert runs[2] == runs[1] and runs[3] == runs[1], runs
