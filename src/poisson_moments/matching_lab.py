@@ -112,7 +112,7 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
         y = np.cumsum(rate1_gaps(seed, 2 * pairs + 1, n), axis=1)
         return np.sum((np.abs(x - y) / n) ** b, axis=1)
 
-    return blocked_estimate(costs, trials, n, seed)
+    return blocked_estimate(costs, trials, n)
 
 
 def scaling_experiment(b: float, n_grid: list, trials: int,

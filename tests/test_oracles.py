@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -144,12 +145,13 @@ class TestMcMoment:
             assert est.stderr == math.inf
 
     def test_values_beyond_float_range_are_inf(self, monkeypatch):
-        # Some |d|^1000 overflow inside the sampler, which runs on a worker
-        # thread when _WORKERS > 1; under filterwarnings=error a thread
-        # without its own errstate fails here.
+        # |d|^1000 overflows for |d| > 2.03, in 12 of rows 0-99 and 18 of
+        # rows 100-199; with 2 workers rows 100-199 are sampled on a pool
+        # thread, which under filterwarnings=error fails here unless it
+        # enters its own errstate.
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
-            est = mc_moment(1, 0, 1000.0, 1.0, 10, seed=1)
+            est = mc_moment(1, 0, 1000.0, 1.0, 200, seed=1)
             assert (est.mean, est.stderr) == (math.inf, math.inf)
 
     def test_rejects_bad_args(self):
@@ -175,7 +177,7 @@ class TestBlockedEstimate:
         v = sample(0, 5000)
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
-            est = blocked_estimate(sample, 5000, 1 << 12, seed=4)
+            est = blocked_estimate(sample, 5000, 1 << 12)
             assert est.mean == pytest.approx(np.mean(v), rel=1e-15)
             assert est.stderr / scale == pytest.approx(
                 np.std(v / scale, ddof=1) / math.sqrt(5000), rel=1e-9)
@@ -195,6 +197,23 @@ class TestBlockedEstimate:
                 finally:
                     tracemalloc.stop()
                 assert peak <= 8 * (1 << 22) * 8, (workers, peak)
+
+    def test_calling_thread_samples_the_first_slice(self, monkeypatch):
+        # With one worker every slice runs on the calling thread; with
+        # more, the first slice of every block does.
+        def sample(lo, hi):
+            seen.append((lo, hi, threading.get_ident()))
+            return np.ones(hi - lo)
+
+        main = threading.get_ident()
+        for workers in (1, 3):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            seen = []
+            est = blocked_estimate(sample, 3 * (1 << 12) + 1, 1 << 10)
+            assert (est.mean, est.stderr) == (1.0, 0.0)
+            starts = {lo for lo, hi, t in seen if t == main}
+            assert starts == {0, 1 << 12, 2 << 12, 3 << 12}, (workers, seen)
+            assert len(seen) == 4 * workers
 
     _WORKER_RUNS = {
         # k + r = 272: 15420 rows per block, so 5 blocks, the last short
