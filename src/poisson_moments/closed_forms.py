@@ -108,14 +108,18 @@ def odd_moment_lemma2(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentValue
     _require_parity(a, want_odd=True, who="odd_moment_lemma2")
     if i < 1 or k < 1:
         raise ValueError("i and k must be >= 1")
+    # inner_j = sum_{l<i+j} C(m+l, l) / 2^(m+l), one integer over 2^top.
+    top = k + a + i - 2
     second = Rat(0)
     for j in range(a + 1):
-        inner = Rat(0)
+        m = k - 1 + a - j
+        inner, coef = 0, 1  # coef = C(m+l, l), stepped by (m+l+1)/(l+1)
         for l in range(i + j):
-            inner += binomial(k + l - 1 + a - j, l) / Rat(2) ** (k + l - 1 + a - j)
+            inner += coef << (top - m - l)
+            coef = coef * (m + l + 1) // (l + 1)
         second += (binomial(a, j) * (-1) ** (a - j)
                    * pochhammer(i, j) * pochhammer(k, a - j) * inner)
-    normalized = -_signed_sum(i, k, a) + second
+    normalized = -_signed_sum(i, k, a) + second / Rat(2) ** top
     return MomentValue.from_normalized(normalized, Rat(lam), a)
 
 
@@ -130,12 +134,11 @@ def odd_moment_lemma3(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentValue
         prefactor += binomial(l + k - 1, l) / Rat(2) ** (l + k - 1)
     first = prefactor * _signed_sum(i, k, a)
 
-    second = Rat(0)
+    # The inner sum over j <= l is a prefix sum, carried across l.
+    second, inner = Rat(0), Rat(0)
     for l in range(a):
-        inner = Rat(0)
-        for j in range(l + 1):
-            inner += (binomial(a, j) * (-1) ** j
-                      * pochhammer(i, j) * pochhammer(k, a - j))
+        inner += (binomial(a, l) * (-1) ** l
+                  * pochhammer(i, l) * pochhammer(k, a - l))
         second += inner * binomial(i + k + a - 1, i + l)
     second /= Rat(2) ** (i + k - 2 + a)
     return MomentValue.from_normalized(first + second, Rat(lam), a)

@@ -3,8 +3,8 @@
 Two routes that share no code with the closed forms:
 
 * `exact_moment_first_principles` integrates the Gamma densities
-  symbolically, reducing everything to factorials and powers of 1/2 in
-  exact rational arithmetic.
+  symbolically, as one integer sum over one power-of-two denominator,
+  and imports nothing from the exact kernel (`exact_arith`).
 * `mc_moment` estimates moments (including non-integer exponents) by
   deterministic, stream-addressed Monte Carlo.
 
@@ -28,8 +28,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
-
-from .exact_arith import Rat
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,49 +56,45 @@ class MCEstimate:
         return (self.mean - exact) / self.stderr
 
 
-def _raw_moment(idx: int, j: int) -> Rat:
-    """E[X_idx^j] * lambda^j = idx (idx+1) ... (idx+j-1), from factorials."""
-    return Rat(math.factorial(idx + j - 1), math.factorial(idx - 1))
-
-
 def exact_moment_first_principles(i: int, k: int, a: int,
-                                  lam: Rat | int = 1) -> Rat:
+                                  lam: Fraction | int = 1) -> Fraction:
     """E|X_i - Y_k|^a by direct symbolic integration of the densities.
 
     Expands |t-y|^a as the full-line polynomial term plus, for odd a, a
-    -2 * lower-tail correction; every integral reduces to a factorial or
-    a binomial over a power of two.  Uses none of the closed-form
-    theorem machinery, so it serves as an independent oracle.
+    -2 * lower-tail correction; every integral is a factorial or a binomial
+    over a power of two dividing 2^(a+k+i-2), so the moment is one integer
+    sum over that one denominator.  Imports nothing from the exact kernel
+    or the closed forms, so it serves as an independent oracle.
     """
     if i < 1 or k < 1 or a < 1:
         raise ValueError("i, k, a must all be >= 1")
-    lam = Rat(lam)
-    # Full-line term: E(X-Y)^a expanded through independent raw moments.
-    full_line = Rat(0)
-    for j in range(a + 1):
-        full_line += (Rat(math.comb(a, j)) * (-1) ** (a - j)
-                      * _raw_moment(i, j) * _raw_moment(k, a - j))
-    if a % 2 == 0:
-        return full_line / lam ** a
-
+    # Full-line term: E(X-Y)^a expanded through the independent raw
+    # moments E[X_i^j] lam^j = perm(i+j-1, j) and, with c = a-j+k-1,
+    # E[Y_k^(a-j)] lam^(a-j) = perm(c, a-j).
     # Odd a: subtract twice the lower-tail integral.  The inner
     # incomplete-Gamma integral contributes the full-line term again
     # (with sign -2) plus exponential-tail corrections whose outer
     # integrals are elementary: for M = a-j+k-1+l,
     #   integral_0^inf y^M e^(-2*lam*y) * lam^(k+l+1) / ((k-1)! l!) dy
     #     = M! / ((k-1)! l! 2^(M+1) lam^(a-j)).
-    correction = Rat(0)
+    # As M = c+l, M!/((k-1)! l!) = perm(c, a-j) C(c+l, l): term j's
+    # perm(c, a-j) becomes perm(c, a-j) (tail - 1), tail = sum_{l<i+j}
+    # C(c+l, l) / 2^(c+l), and c+l <= e = a+k+i-2 for every such term.
+    e = a + k + i - 2
+    total = 0
     for j in range(a + 1):
-        tail = Rat(0)
-        for l in range(i + j):
-            m_exp = a - j + k - 1 + l
-            tail += Fraction(math.factorial(m_exp),
-                             math.factorial(k - 1) * math.factorial(l)
-                             * 2 ** m_exp)
-        correction += (Rat(math.comb(a, j)) * (-1) ** (a - j)
-                       * _raw_moment(i, j)
-                       * (tail - 2 * _raw_moment(k, a - j)))
-    return (full_line + correction) / lam ** a
+        c = a - j + k - 1
+        term = math.comb(a, j) * math.perm(i + j - 1, j) * math.perm(c, a - j)
+        if a % 2:
+            tail, binom = 0, 1  # tail * 2^e; binom = C(c+l, l)
+            for l in range(i + j):
+                tail += binom << (e - c - l)
+                binom = binom * (c + l + 1) // (l + 1)
+            term *= tail - (1 << e)
+        else:
+            term <<= e
+        total += -term if (a - j) % 2 else term
+    return Fraction(total, 1 << e) / Fraction(lam) ** a
 
 
 def rate1_gaps(seed: int, streams, n: int) -> np.ndarray:

@@ -43,6 +43,13 @@ class TestMoment:
         assert doc["results"]["moment"]["den"] == "2"
         assert doc["results"]["cross_check"]["agree"] is True
 
+    def test_cross_check_at_the_top_size(self, capsys):
+        assert cli.main(["--format", "json", "moment", "--k", "285", "--r",
+                         "170", "--a", "41", "--cross-check"]) == 0
+        check = json.loads(capsys.readouterr().out)["results"]["cross_check"]
+        assert check == {"methods": ["first_principles", "lemma2", "lemma3"],
+                         "agree": True}
+
     def test_rational_lambda(self):
         doc = json_out("moment", "--k", "3", "--a", "2", "--lambda", "2")
         assert (doc["results"]["moment"]["num"],

@@ -102,10 +102,15 @@ class TestCrossFormulaInvariants:
                                for k in range(1, n + 1))
                 assert sum_moments(n, a, lam).value == by_terms, (n, a)
 
-    @pytest.mark.parametrize("k,r,a", [(40, 60, 31), (30, 30, 41), (20, 120, 41)])
+    # The last three are the benchmark's top ops.
+    @pytest.mark.parametrize("k,r,a", [(40, 60, 31), (30, 30, 41), (20, 120, 41),
+                                       (285, 170, 41), (250, 200, 41),
+                                       (300, 0, 41)])
     def test_theorem4_matches_first_principles_at_large_a_and_r(self, k, r, a):
-        assert (odd_moment_theorem4(k, r, a).value
-                == exact_moment_first_principles(k + r, k, a))
+        v4 = odd_moment_theorem4(k, r, a).value
+        assert v4 == exact_moment_first_principles(k + r, k, a)
+        assert (odd_moment_lemma2(k + r, k, a).value
+                == odd_moment_lemma3(k + r, k, a).value == v4)
 
     def test_long_partial_sum_matches_terms(self):
         by_terms = sum(diagonal_moment(k, 41).value for k in range(1, 301))

@@ -1,12 +1,15 @@
+import ast
 import math
 import threading
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from poisson_moments import oracles
+from poisson_moments import closed_forms, oracles
 from poisson_moments.closed_forms import (
     MomentQuery,
     diagonal_moment,
@@ -51,6 +54,49 @@ class TestFirstPrinciplesOracle:
             exact_moment_first_principles(0, 1, 1)
         with pytest.raises(ValueError):
             exact_moment_first_principles(1, 1, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(i=st.integers(1, 15), k=st.integers(1, 15), a=st.integers(1, 11),
+           lam=st.fractions(min_value=Fraction(1, 100), max_value=100))
+    def test_matches_the_integral_term_by_term(self, i, k, a, lam):
+        # The integral the oracle encodes, one Fraction per term: the
+        # full-line raw moments, minus for odd a twice the lower tail
+        # E[Y^(a-j)] - sum_{l<i+j} M!/((k-1)! l! 2^(M+1)), M = a-j+k-1+l.
+        def raw(n, j):  # E[X_n^j] lam^j
+            return Fraction(math.factorial(n + j - 1), math.factorial(n - 1))
+
+        want = Fraction(0)
+        for j in range(a + 1):
+            coef = math.comb(a, j) * (-1) ** (a - j) * raw(i, j)
+            want += coef * raw(k, a - j)
+            if a % 2:
+                tail = Fraction(0)
+                for l in range(i + j):
+                    m = a - j + k - 1 + l
+                    tail += Fraction(math.factorial(m), math.factorial(k - 1)
+                                     * math.factorial(l) * 2 ** (m + 1))
+                want -= 2 * coef * (raw(k, a - j) - tail)
+        assert exact_moment_first_principles(i, k, a, lam) == want / lam ** a
+
+
+def _package_imports(module):
+    """The package modules that `module`'s source imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return {name.removeprefix("poisson_moments").lstrip(".") for name in names
+            if name.startswith((".", "poisson_moments"))}
+
+
+def test_the_exact_oracle_shares_no_code_with_the_closed_forms():
+    assert not _package_imports(oracles) & {
+        "closed_forms", "exact_arith", "identities", "matching_lab"}
+    assert "oracles" not in _package_imports(closed_forms)
 
 
 class TestPrng:
