@@ -32,8 +32,6 @@ EXIT_USAGE = 2
 EXIT_CROSS_CHECK = 3
 EXIT_BROKEN_PIPE = 141
 
-_SEED_ENV = "POISSON_MOMENTS_SEED"
-
 
 def _fmt_float(x: float) -> str:
     return format(x, ".17g")
@@ -46,14 +44,6 @@ def _rat_fields(q: Rat) -> dict:
         approx = None
     return {"num": str(q.numerator), "den": str(q.denominator),
             "approx": approx}
-
-
-def _default_seed() -> int:
-    raw = os.environ.get(_SEED_ENV, "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{_SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _in_float_range(name: str, value) -> float:
@@ -305,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=_positive_rational,
                    default=Fraction(1))
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("matching", help="matching-cost scaling experiment")
@@ -314,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=_positive_int, default=4096)
     p.add_argument("--grid-factor", type=_int_at_least(2), default=2)
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_matching)
     return parser
 
@@ -325,8 +315,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "seed") and args.seed is None:
-            args.seed = _default_seed()
         t0 = time.perf_counter()
         outcome = args.func(args)
         record = {"command": args.subcommand,

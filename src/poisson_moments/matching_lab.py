@@ -38,15 +38,12 @@ _BRUTE_FORCE_LIMIT = 8
 class MatchingRun:
     """The per-policy costs of one sampled bicolored configuration."""
 
-    n: int
-    b: float
     sorted_cost: float
     optimal_cost: float
 
 
 @dataclass(frozen=True)
 class ScalingFit:
-    b: float
     n_grid: list
     mean_costs: list
     slope: float
@@ -91,7 +88,7 @@ def sample_matching_run(n: int, b: float, seed: int,
     its sorted and brute-force optimal costs (n <= 8)."""
     xs = sample_arrivals(n, float(n), seed, 2 * stream_pair)
     ys = sample_arrivals(n, float(n), seed, 2 * stream_pair + 1)
-    return MatchingRun(n=n, b=b, sorted_cost=sorted_matching_cost(xs, ys, b),
+    return MatchingRun(sorted_cost=sorted_matching_cost(xs, ys, b),
                        optimal_cost=optimal_matching_cost_bruteforce(xs, ys, b))
 
 
@@ -140,6 +137,6 @@ def scaling_experiment(b: float, n_grid: list, trials: int,
     ss_res = float(np.sum((log_c - fitted) ** 2))
     ss_tot = float(np.sum((log_c - np.mean(log_c)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ScalingFit(b=b, n_grid=n_grid, mean_costs=means,
+    return ScalingFit(n_grid=n_grid, mean_costs=means,
                       slope=float(slope), intercept=float(intercept),
                       r_squared=r_squared)

@@ -68,6 +68,8 @@ def exact_moment_first_principles(i: int, k: int, a: int,
     """
     if i < 1 or k < 1 or a < 1:
         raise ValueError("i, k, a must all be >= 1")
+    if lam <= 0:
+        raise ValueError(f"lambda must be > 0, got {lam}")
     # Full-line term: E(X-Y)^a expanded through the independent raw
     # moments E[X_i^j] lam^j = perm(i+j-1, j) and, with c = a-j+k-1,
     # E[Y_k^(a-j)] lam^(a-j) = perm(c, a-j).

@@ -72,9 +72,16 @@ class TestValidation:
             with pytest.raises(ValueError):
                 MomentQuery(**bad)
 
-    def test_normalized_is_lambda_free(self):
-        mv = moment(MomentQuery(2, 1, 3, Fraction(5, 7)))
-        assert mv.value == mv.normalized / Fraction(5, 7) ** 3
+    @pytest.mark.parametrize("lam", [0, -1, Fraction(-1, 2)], ids=str)
+    def test_every_closed_form_rejects_a_rate_at_most_0(self, lam):
+        for form, args in ((even_moment_general, (2, 1, 2)),
+                           (diagonal_moment, (1, 1)),
+                           (odd_moment_lemma2, (2, 1, 1)),
+                           (odd_moment_lemma3, (2, 1, 1)),
+                           (odd_moment_theorem4, (1, 1, 1)),
+                           (sum_moments, (1, 1))):
+            with pytest.raises(ValueError, match="lambda must be > 0"):
+                form(*args, lam)
 
 
 class TestCrossFormulaInvariants:

@@ -16,6 +16,7 @@ from poisson_moments.closed_forms import (
     even_moment_general,
     moment,
     odd_moment_lemma2,
+    odd_moment_lemma3,
 )
 from poisson_moments.matching_lab import mc_sorted_cost, scaling_experiment
 from poisson_moments.oracles import (
@@ -40,12 +41,14 @@ class TestFirstPrinciplesOracle:
                 for k in range(1, 6):
                     for a in range(1, 6):
                         got = exact_moment_first_principles(i, k, a, lam)
-                        if a % 2 == 0:
-                            want = even_moment_general(i, k, a, lam).value
-                        else:
-                            want = odd_moment_lemma2(i, k, a, lam).value
-                        assert got == want, (i, k, a, lam)
-                        if i >= k:
+                        # The closed forms share one term list; only this
+                        # oracle can catch a fault in it.
+                        forms = ((even_moment_general,) if a % 2 == 0 else
+                                 (odd_moment_lemma2, odd_moment_lemma3))
+                        for form in forms:
+                            assert got == form(i, k, a, lam).value, (
+                                form.__name__, i, k, a, lam)
+                        if i >= k:  # theorem 4 for odd a
                             assert got == moment(
                                 MomentQuery(k, i - k, a, lam)).value
 
@@ -54,6 +57,9 @@ class TestFirstPrinciplesOracle:
             exact_moment_first_principles(0, 1, 1)
         with pytest.raises(ValueError):
             exact_moment_first_principles(1, 1, 0)
+        for lam in (0, -1, Fraction(-1, 2)):
+            with pytest.raises(ValueError):
+                exact_moment_first_principles(1, 1, 1, lam)
 
     @settings(max_examples=150, deadline=None)
     @given(i=st.integers(1, 15), k=st.integers(1, 15), a=st.integers(1, 11),
