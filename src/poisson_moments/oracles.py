@@ -11,18 +11,20 @@ Two routes that share no code with the closed forms:
 Every Monte Carlo estimate draws rate-1 gaps (`rate1_gaps`), divides each
 distance by the rate before raising it to b, and reduces the values with
 `blocked_estimate`, in blocks of bounded memory.  Each block's rows are
-sampled as contiguous slices, one per CPU the process may run on, the
-first on the calling thread and the rest on a thread pool, and joined in
-row order.  Row i of every sampler is a pure function of its stream
-addresses (the PRNG is counter-based, and sums and cumulative sums run
-along the row), so the block, and with it every mean and stderr, is
-bit-identical for any number of threads.  numpy and the thread pool are
-imported inside the functions that draw or reduce samples, so the exact
-oracle (and every caller that never samples) loads neither.
+sampled as contiguous slices, one per CPU the process may run on (fewer
+for a small block), the first on the calling thread and the rest on a
+thread pool, and joined in row order.  Row i of every sampler is a pure
+function of its stream addresses (the PRNG is counter-based, and sums
+and cumulative sums run along the row), so the block, and with it every
+mean and stderr, is bit-identical for any number of threads.  numpy is
+imported inside the functions that draw or reduce samples, and the
+thread pool only for blocks of several slices, so the exact oracle (and
+every caller that never samples) loads neither.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -42,7 +44,10 @@ __all__ = [
 # Rows per block and uniforms per stream block; they fix the summation order.
 _BLOCK_ROWS = 1 << 16
 _BLOCK_UNIFORMS = 1 << 22
-# Threads that sample one block's row slices; the result does not depend on it.
+# A block gets one row slice per started 2^15 uniforms, up to one per CPU
+# (_WORKERS): a small block is not worth a thread handoff.  The result
+# depends on neither constant.
+_SLICE_UNIFORMS = 1 << 15
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
@@ -101,12 +106,15 @@ def exact_moment_first_principles(i: int, k: int, a: int,
 
 def rate1_gaps(seed: int, streams, n: int) -> np.ndarray:
     """Inverse-CDF Exp(1) gaps -log(1-U) for counters 0..n-1 of each
-    stream; shape (len(streams), n)."""
+    stream; shape (len(streams), n), computed in the uniforms' array."""
     import numpy as np
 
     from .prng import uniform_block
 
-    return -np.log1p(-uniform_block(seed, streams, n))
+    g = uniform_block(seed, streams, n)
+    np.negative(g, out=g)
+    np.log1p(g, out=g)
+    return np.negative(g, out=g)
 
 
 def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
@@ -121,14 +129,13 @@ def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
 def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
     """Mean and stderr of the values that sample(lo, hi) returns for rows
     lo..hi-1, where one stream draws `width` uniforms per row.  Each block
-    is sampled as `_WORKERS` contiguous row slices (some empty when the
-    block has fewer rows), the first on the calling thread and the rest on
-    a pool, and joined in row order; blocks are merged in order by their
+    is sampled as contiguous row slices, one per started `_SLICE_UNIFORMS`
+    uniforms up to `_WORKERS` (some empty when the block has fewer rows
+    than slices), the first on the calling thread and the rest on a pool,
+    and joined in row order; blocks are merged in order by their
     (n, sum, M2) (Chan, Golub & LeVeque 1979).  Values beyond float range
     come out as inf or nan, an M2 beyond it as stderr = inf.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
     def part(lo: int, hi: int) -> np.ndarray:
@@ -136,21 +143,30 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
         with np.errstate(over="ignore", invalid="ignore"):
             return sample(lo, hi)
 
+    def slices(lo: int, hi: int) -> int:
+        return min(_WORKERS, -(-(hi - lo) * width // _SLICE_UNIFORMS))
+
     step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
     blocks = []
     total = 0.0
-    # The calling thread samples the first slice, so with one worker the
-    # pool gets no task and starts no thread.  It also keeps part of each
-    # block in the main malloc arena: with every slice on pool threads,
-    # glibc held on to freed blocks and the monte_carlo benchmark's peak
-    # RSS read 214 MB on one CPU and up to 161 MB on two, against 157 MB
-    # sampled serially and 128 MB this way (x86_64).
-    with ThreadPoolExecutor(max(1, _WORKERS - 1)) as pool, \
+    with contextlib.ExitStack() as stack, \
             np.errstate(over="ignore", invalid="ignore"):
+        # The first block is the largest, so unless it has several slices
+        # no block does, and neither the pool nor its module is loaded.
+        run = map
+        if slices(0, min(step, rows)) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            run = stack.enter_context(ThreadPoolExecutor(_WORKERS - 1)).map
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
-            cuts = [lo + (hi - lo) * t // _WORKERS for t in range(_WORKERS + 1)]
-            rest = pool.map(part, cuts[1:-1], cuts[2:])
+            w = slices(lo, hi)
+            cuts = [lo + (hi - lo) * t // w for t in range(w + 1)]
+            # The calling thread samples the first slice, which keeps part
+            # of each block in the main malloc arena: with every slice on
+            # pool threads, glibc held on to freed blocks in the threads'
+            # arenas and peak RSS grew by up to two thirds (x86_64).
+            rest = run(part, cuts[1:-1], cuts[2:])
             v = np.concatenate([part(cuts[0], cuts[1]), *rest])
             s = float(np.sum(v))
             blocks.append((len(v), s / len(v), _sum_sq(v - s / len(v))))

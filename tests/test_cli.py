@@ -126,8 +126,8 @@ class TestVerify:
 
 class TestDependencies:
     # Any import outside the standard library, the package and the modules
-    # named in argv fails; only the sampling commands may load numpy and the
-    # thread pool (concurrent.futures).
+    # named in argv fails; only the sampling commands may load numpy, and
+    # their blocks here are too small for a thread pool (concurrent.futures).
     _HOOK = textwrap.dedent("""
         import sys
 
@@ -153,10 +153,10 @@ class TestDependencies:
                      id="moment-even"),
         pytest.param("", ["sum", "--n", "20", "--a", "3", "--verify"],
                      id="sum-verify"),
-        pytest.param("numpy concurrent", ["simulate", "--k", "2", "--b", "1.5",
-                                          "--samples", "1000"], id="simulate"),
-        pytest.param("numpy concurrent", ["matching", "--b", "1", "--n-max",
-                                          "32", "--trials", "5"], id="matching"),
+        pytest.param("numpy", ["simulate", "--k", "2", "--b", "1.5",
+                               "--samples", "1000"], id="simulate"),
+        pytest.param("numpy", ["matching", "--b", "1", "--n-max", "32",
+                               "--trials", "5"], id="matching"),
     ])
     def test_imports(self, allowed, argv):
         proc = subprocess.run([sys.executable, "-c", self._HOOK, allowed, *argv],

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_moments import closed_forms, oracles
+from poisson_moments import closed_forms, oracles, prng
 from poisson_moments.closed_forms import (
     MomentQuery,
     diagonal_moment,
@@ -26,6 +26,10 @@ from poisson_moments.oracles import (
     sample_arrivals,
 )
 from poisson_moments.prng import uniform_block
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_STREAM_SALT = 0xD1B54A32D192ED03
 
 
 class TestFirstPrinciplesOracle:
@@ -139,6 +143,54 @@ class TestPrng:
         # The stream contract: every Monte Carlo output depends on these.
         assert uniform_block(seed, [stream], counter + 1)[0, -1].hex() == value
 
+    @staticmethod
+    def _splitmix64(z):
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+        return z ^ (z >> 31)
+
+    @staticmethod
+    def _reference_uniforms(words):
+        return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+
+    def test_float_conversion_matches_the_reference(self):
+        # The float written over each word equals the reference expression,
+        # bit for bit, at the edges of its top 53 bits m (from 2^52 on,
+        # m + 0.5 rounds), under random low bits, and at random words.
+        rng = np.random.default_rng(5)
+        edges = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 1], dtype=np.uint64)
+        low = rng.integers(0, 1 << 11, size=(4, 3), dtype=np.uint64)
+        words = np.concatenate([((edges[:, None] << np.uint64(11)) | low).ravel(),
+                                np.array([0, _MASK64], dtype=np.uint64),
+                                rng.integers(0, _MASK64, 10_000, np.uint64,
+                                             endpoint=True)])
+        want = [x.hex() for x in self._reference_uniforms(words)]
+        got = prng._to_uniform(words.copy(), np.empty_like(words))
+        assert [x.hex() for x in got] == want
+
+    @pytest.mark.parametrize("tile", [7, prng._TILE])
+    @pytest.mark.parametrize("width", [1, 17, 1000])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 5, 2 ** 64 - 1])
+    def test_kernel_matches_the_reference(self, seed, width, tile, monkeypatch):
+        # uniform_block and rate1_gaps against splitmix64 on Python integers,
+        # the reference float expression and -log1p(-u), by float.hex; a
+        # 7-word tile splits rows and leaves a short last tile.
+        monkeypatch.setattr(prng, "_TILE", tile)
+        streams = [0, 1, 12345]
+        seed_hash = self._splitmix64(seed & _MASK64)
+        words = np.array([
+            [self._splitmix64(self._splitmix64(s * _STREAM_SALT & _MASK64
+                                               ^ seed_hash)
+                              + c * _GOLDEN & _MASK64)
+             for c in range(1, width + 1)]
+            for s in streams], dtype=np.uint64)
+        u = self._reference_uniforms(words)
+        block = uniform_block(seed, streams, width)
+        gaps = oracles.rate1_gaps(seed, streams, width)
+        assert [x.hex() for x in block.ravel()] == [x.hex() for x in u.ravel()]
+        assert ([x.hex() for x in gaps.ravel()]
+                == [x.hex() for x in (-np.log1p(-u)).ravel()])
+
 
 class TestSampleArrivals:
     def test_strictly_increasing(self):
@@ -250,22 +302,50 @@ class TestBlockedEstimate:
                     tracemalloc.stop()
                 assert peak <= 8 * (1 << 22) * 8, (workers, peak)
 
+    @pytest.mark.parametrize("run, blocks", [
+        (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0), 1.5),
+        (lambda: mc_sorted_cost(4096, 1.0, 4096, 0), 2.5),
+    ], ids=["mc_moment", "mc_sorted_cost"])
+    def test_peak_in_block_arrays(self, run, blocks, monkeypatch):
+        # Each draw is hashed, converted and transformed in the one array it
+        # was drawn into, with one tile of scratch: mc_moment holds 1 stream
+        # block of 2^22 float64 at its peak, mc_sorted_cost 2 (x's arrival
+        # times beside y's), however many threads share a block's rows.
+        for workers in (1, 2):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= blocks * (1 << 22) * 8, (workers, peak / (1 << 25))
+
     def test_calling_thread_samples_the_first_slice(self, monkeypatch):
-        # With one worker every slice runs on the calling thread; with
-        # more, the first slice of every block does.
+        # Three blocks of 2^12 rows x 2^10 uniforms get one slice per
+        # worker, the one-row last block (2^10 uniforms, under
+        # _SLICE_UNIFORMS) one slice.  With one worker every slice runs on
+        # the calling thread; with more, the first slice of every block does.
         def sample(lo, hi):
             seen.append((lo, hi, threading.get_ident()))
             return np.ones(hi - lo)
 
+        calls = {
+            1: [(0, 4096), (4096, 8192), (8192, 12288), (12288, 12289)],
+            3: [(0, 1365), (1365, 2730), (2730, 4096),
+                (4096, 5461), (5461, 6826), (6826, 8192),
+                (8192, 9557), (9557, 10922), (10922, 12288),
+                (12288, 12289)],
+        }
         main = threading.get_ident()
         for workers in (1, 3):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             seen = []
             est = blocked_estimate(sample, 3 * (1 << 12) + 1, 1 << 10)
             assert (est.mean, est.stderr) == (1.0, 0.0)
+            assert sorted((lo, hi) for lo, hi, t in seen) == calls[workers]
             starts = {lo for lo, hi, t in seen if t == main}
             assert starts == {0, 1 << 12, 2 << 12, 3 << 12}, (workers, seen)
-            assert len(seen) == 4 * workers
 
     _WORKER_RUNS = {
         # k + r = 272: 15420 rows per block, so 5 blocks, the last short
