@@ -5,9 +5,12 @@ cost sum |X_k - Y_k|^b, verifies optimality against a brute-force
 permutation oracle at small n, and fits the empirical cost-versus-n
 scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
 from rate-1 gaps, each distance divided by n before it is raised to b,
-and reduced by `oracles.blocked_estimate`, which bounds memory whatever
-n or trials is.  numpy is imported inside the functions that sample or
-fit, so the exact expected cost and the brute-force oracle do not load it.
+and summed within each cache-sized tile by `oracles.gap_sums`, which
+carries the arrival times across the tiles of a wide row; the per-trial
+costs are reduced by `oracles.blocked_estimate`, so memory stays
+bounded whatever n or trials is.  numpy is imported inside the functions
+that sample or fit, so the exact expected cost and the brute-force
+oracle do not load it.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import permutations
 
 from .closed_forms import sum_moments
 from .exact_arith import Rat
-from .oracles import MCEstimate, blocked_estimate, rate1_gaps, sample_arrivals
+from .oracles import MCEstimate, blocked_estimate, gap_sums, sample_arrivals
 
 __all__ = [
     "MatchingRun",
@@ -104,19 +107,29 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
         raise ValueError("require n >= 1, b > 0")
 
     def costs(lo: int, hi: int) -> np.ndarray:
-        # Arrival times, then (|x - y| / n) ** b, in the arrays the gaps
-        # were drawn into; **= takes numpy's scalar-power fast paths as **
-        # does, so b = 2 stays a square.
+        # Arrival times, then (|x - y| / n) ** b, in each tile of negated
+        # gaps: the cumulative sums are the arrival times negated, and
+        # x - y = -(X - Y) exactly.  A row wider than a tile carries its
+        # cumulative sums into the next tile's first gaps, which keeps them
+        # sequential.  **= takes numpy's scalar-power fast paths as ** does,
+        # so b = 2 stays a square.
+        carry = None
+
+        def tail(x: np.ndarray, y: np.ndarray, c0: int) -> None:
+            nonlocal carry
+            if c0:
+                x[:, 0] += carry[0]
+                y[:, 0] += carry[1]
+            np.cumsum(x, axis=1, out=x)
+            np.cumsum(y, axis=1, out=y)
+            carry = x[:, -1].copy(), y[:, -1].copy()
+            x -= y
+            np.abs(x, out=x)
+            x /= n
+            x **= b
+
         pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
-        x = rate1_gaps(seed, 2 * pairs, n)
-        np.cumsum(x, axis=1, out=x)
-        y = rate1_gaps(seed, 2 * pairs + 1, n)
-        np.cumsum(y, axis=1, out=y)
-        x -= y
-        np.abs(x, out=x)
-        x /= n
-        x **= b
-        return np.sum(x, axis=1)
+        return gap_sums(seed, [2 * pairs, 2 * pairs + 1], n, tail)
 
     return blocked_estimate(costs, trials, n)
 

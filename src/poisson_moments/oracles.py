@@ -8,18 +8,21 @@ Two routes that share no code with the closed forms:
 * `mc_moment` estimates moments (including non-integer exponents) by
   deterministic, stream-addressed Monte Carlo.
 
-Every Monte Carlo estimate draws rate-1 gaps (`rate1_gaps`), divides each
-distance by the rate before raising it to b, and reduces the values with
-`blocked_estimate`, in blocks of bounded memory.  Each block's rows are
-sampled as contiguous slices, one per CPU the process may run on (fewer
-for a small block), the first on the calling thread and the rest on a
-thread pool, and joined in row order.  Row i of every sampler is a pure
-function of its stream addresses (the PRNG is counter-based, and sums
-and cumulative sums run along the row), so the block, and with it every
-mean and stderr, is bit-identical for any number of threads.  numpy is
-imported inside the functions that draw or reduce samples, and the
-thread pool only for blocks of several slices, so the exact oracle (and
-every caller that never samples) loads neither.
+Every Monte Carlo estimate draws rate-1 gaps, divides each distance by
+the rate before raising it to b, and reduces the values with
+`blocked_estimate`, in blocks of bounded memory.  Within a block a
+sampler never holds a block-sized array: `gap_sums` draws, transforms
+and sums the gaps one cache-sized tile of whole rows at a time, so only
+per-row results leave the tile.  Each block's rows are sampled as
+contiguous slices, one per CPU the process may run on (fewer for a small
+block), the first on the calling thread and the rest on a thread pool,
+and joined in row order.  Row i of every sampler is a pure function of
+its stream addresses (the PRNG is counter-based, and sums and cumulative
+sums run along the row), so the block, and with it every mean and
+stderr, is bit-identical for any number of threads or any tile size.
+numpy is imported inside the functions that draw or reduce samples, and
+the thread pool only for blocks of several slices, so the exact oracle
+(and every caller that never samples) loads neither.
 """
 
 from __future__ import annotations
@@ -115,6 +118,60 @@ def rate1_gaps(seed: int, streams, n: int) -> np.ndarray:
     np.negative(g, out=g)
     np.log1p(g, out=g)
     return np.negative(g, out=g)
+
+
+def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
+    """Sum along each row of the negated rate-1 gaps log1p(-U) of counters
+    0..width-1 of the streams in streams[0]; given tail(x, y, c0), the sum
+    of what tail leaves in x, a tile of those gaps that starts at column c0,
+    from y, the same tile of the streams in streams[1].
+
+    The uniforms are drawn as -U, which is exact, so the values are the
+    gaps' exact negations, as are their sums and cumulative sums.  Each
+    tile is drawn, transformed and summed in cache before the next: whole
+    rows, prng._TILE // width of them (read at call time), or a row wider
+    than a tile in column tiles written into one row-sized array, summed
+    once so that numpy's pairwise row sum sees the whole row.  A row wider
+    than _BLOCK_UNIFORMS is summed in chunks of that many columns, and the
+    chunk sums are added in order.
+    """
+    import numpy as np
+
+    from . import prng
+
+    keys = [prng.stream_keys(seed, s) for s in streams]
+    rows, tile = len(keys[0]), prng._TILE
+    cols = min(width, tile)              # columns per tile
+    step = tile // cols                  # rows per tile
+    chunk = min(width, _BLOCK_UNIFORMS)  # columns per row sum
+    counters = prng.counter_words(cols)
+    # One allocation holds the scratch, the tiles of streams[1:] and x (a
+    # row tile, or a row chunk).  Freed whole, it raises glibc's dynamic
+    # mmap and trim thresholds past a slice's working set, so that later
+    # calls reuse heap pages instead of faulting in fresh ones (x86_64).
+    size = min(rows, step) * cols
+    buf = np.empty(len(keys) * size + min(rows, step) * chunk)
+    t, *ys = buf[:len(keys) * size].reshape(len(keys), size)
+    x = buf[len(keys) * size:]
+    sums = np.empty(rows)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        for c0 in range(0, width, chunk):
+            v = x[:(r1 - r0) * min(chunk, width - c0)].reshape(r1 - r0, -1)
+            for t0 in range(c0, c0 + v.shape[1], cols):
+                m = min(cols, c0 + v.shape[1] - t0)
+                tiles = [v[:, t0 - c0:t0 - c0 + m],
+                         *(y[:(r1 - r0) * m].reshape(r1 - r0, m) for y in ys)]
+                for g, k in zip(tiles, keys):
+                    prng.draw(k[r0:r1], counters, t0, g, t, negate=True)
+                    np.log1p(g, out=g)
+                if tail is not None:
+                    tail(*tiles, t0)
+            if c0:
+                sums[r0:r1] += np.sum(v, axis=1)
+            else:
+                np.sum(v, axis=1, out=sums[r0:r1])
+    return sums
 
 
 def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
@@ -213,9 +270,14 @@ def mc_moment(k: int, r: int, b: float, lam: float,
         raise ValueError("require k >= 1, r >= 0, b > 0, lam > 0")
 
     def distances(lo: int, hi: int) -> np.ndarray:
+        # x and y are the arrival times negated, so |x - y| is unchanged;
+        # **= takes numpy's scalar-power fast paths as ** does.
         pairs = np.arange(lo, hi, dtype=np.uint64)
-        x = np.sum(rate1_gaps(seed, 2 * pairs, k + r), axis=1)
-        y = np.sum(rate1_gaps(seed, 2 * pairs + 1, k), axis=1)
-        return (np.abs(x - y) / lam) ** b
+        x = gap_sums(seed, [2 * pairs], k + r)
+        x -= gap_sums(seed, [2 * pairs + 1], k)
+        np.abs(x, out=x)
+        x /= lam
+        x **= b
+        return x
 
     return blocked_estimate(distances, samples, k + r)

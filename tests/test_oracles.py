@@ -302,15 +302,16 @@ class TestBlockedEstimate:
                     tracemalloc.stop()
                 assert peak <= 8 * (1 << 22) * 8, (workers, peak)
 
-    @pytest.mark.parametrize("run, blocks", [
-        (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0), 1.5),
-        (lambda: mc_sorted_cost(4096, 1.0, 4096, 0), 2.5),
+    @pytest.mark.parametrize("run, tiles", [
+        (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0), 2.5),
+        (lambda: mc_sorted_cost(4096, 1.0, 4096, 0), 3.5),
     ], ids=["mc_moment", "mc_sorted_cost"])
-    def test_peak_in_block_arrays(self, run, blocks, monkeypatch):
-        # Each draw is hashed, converted and transformed in the one array it
-        # was drawn into, with one tile of scratch: mc_moment holds 1 stream
-        # block of 2^22 float64 at its peak, mc_sorted_cost 2 (x's arrival
-        # times beside y's), however many threads share a block's rows.
+    def test_peak_in_block_arrays(self, run, tiles, monkeypatch):
+        # Each draw is hashed, converted, transformed and summed one tile of
+        # whole rows at a time, and only per-row results leave the tile: a
+        # slice of mc_moment holds 2 tiles (the draws and the scratch),
+        # mc_sorted_cost 3 (x's and y's draws and the scratch), and the
+        # rest of the half tile per slice is per-row vectors.
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             tracemalloc.start()
@@ -319,7 +320,24 @@ class TestBlockedEstimate:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= blocks * (1 << 22) * 8, (workers, peak / (1 << 25))
+            tile = prng._TILE * 8
+            assert peak <= workers * tiles * tile, (workers, peak / tile)
+
+    @pytest.mark.parametrize("run", [
+        lambda: mc_moment(1 << 22, 1, 1.0, 1.0, 2, 0),
+        lambda: mc_sorted_cost((1 << 22) + 1, 1.0, 2, 0),
+    ], ids=["mc_moment", "mc_sorted_cost"])
+    def test_peak_above_a_block_of_columns(self, run):
+        # A row of 2^22 + 1 gaps is summed over column chunks of 2^22: the
+        # one row-sized array holds a chunk, beside a few tiles and, when a
+        # pool samples the row, the pool's first import.
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 << 22) * 8 + 8 * prng._TILE * 8, peak / (1 << 25)
 
     def test_calling_thread_samples_the_first_slice(self, monkeypatch):
         # Three blocks of 2^12 rows x 2^10 uniforms get one slice per
@@ -370,3 +388,97 @@ class TestBlockedEstimate:
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             runs[workers] = bits()
         assert runs[2] == runs[1] and runs[3] == runs[1], runs
+
+
+def _row_sums(a):
+    # np.sum along the rows, over column chunks of _BLOCK_UNIFORMS added in
+    # order: np.sum(a, axis=1) itself for a row no wider than a chunk.
+    chunk = oracles._BLOCK_UNIFORMS
+    sums = np.sum(a[:, :chunk], axis=1)
+    for c0 in range(chunk, a.shape[1], chunk):
+        sums += np.sum(a[:, c0:c0 + chunk], axis=1)
+    return sums
+
+
+def _reference_distances(seed, k, r, b, lam):
+    def sample(lo, hi):
+        pairs = np.arange(lo, hi, dtype=np.uint64)
+        x = _row_sums(oracles.rate1_gaps(seed, 2 * pairs, k + r))
+        y = _row_sums(oracles.rate1_gaps(seed, 2 * pairs + 1, k))
+        return (np.abs(x - y) / lam) ** b
+    return sample
+
+
+def _reference_costs(seed, n, b, stream_offset):
+    def sample(lo, hi):
+        pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
+        x = oracles.rate1_gaps(seed, 2 * pairs, n)
+        np.cumsum(x, axis=1, out=x)
+        y = oracles.rate1_gaps(seed, 2 * pairs + 1, n)
+        np.cumsum(y, axis=1, out=y)
+        x -= y
+        np.abs(x, out=x)
+        x /= n
+        x **= b
+        return _row_sums(x)
+    return sample
+
+
+class TestFusedSamplers:
+    """Each sampler's rows and estimate against the same expressions on
+    whole rate1_gaps blocks, by float.hex, for any tile and thread count."""
+
+    def _check(self, sampler, width, rows, monkeypatch):
+        from poisson_moments import matching_lab
+
+        if sampler == "mc_moment":
+            r = min(10, width - 1)
+            module, reference = oracles, _reference_distances(5, width - r, r,
+                                                              1.5, 0.5)
+            run = lambda: mc_moment(width - r, r, 1.5, 0.5, rows, 5)
+        else:
+            module, reference = matching_lab, _reference_costs(5, width, 2.0, 3)
+            run = lambda: mc_sorted_cost(width, 2.0, rows, 5, stream_offset=3)
+        seen = []
+
+        def spy(sample, n, w):
+            seen.append(sample)
+            return blocked_estimate(sample, n, w)
+
+        monkeypatch.setattr(module, "blocked_estimate", spy)
+        want_rows = [x.hex() for x in reference(0, rows)]
+        for workers in (1, 2):
+            monkeypatch.setattr(oracles, "_WORKERS", workers)
+            est = run()
+            want = blocked_estimate(reference, rows, width)
+            assert [est.mean.hex(), est.stderr.hex()] == [
+                want.mean.hex(), want.stderr.hex()], workers
+            assert [x.hex() for x in seen[-1](0, rows)] == want_rows
+
+    @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
+    @pytest.mark.parametrize("width, rows", [
+        (1, 70_000), (17, 70_000), (1000, 5000), (70_001, 3)])
+    def test_matches_whole_blocks(self, sampler, width, rows, monkeypatch):
+        # Two blocks (one at width 70,001, a row wider than a tile).
+        self._check(sampler, width, rows, monkeypatch)
+
+    @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
+    @pytest.mark.parametrize("width, rows", [(1, 20), (17, 5), (1000, 3)])
+    def test_matches_whole_blocks_in_7_word_tiles(self, sampler, width, rows,
+                                                  monkeypatch):
+        # Rows split across tiles, short last tiles, and rows carried from
+        # one column tile to the next; the kernel reads prng._TILE per call.
+        monkeypatch.setattr(prng, "_TILE", 7)
+        self._check(sampler, width, rows, monkeypatch)
+
+    @pytest.mark.parametrize("tile", [7, prng._TILE])
+    @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
+    def test_rows_wider_than_a_block_sum_column_chunks(self, sampler, tile,
+                                                       monkeypatch):
+        # With 64-word column chunks, rows of 150 sum chunks of 64, 64 and
+        # 22 in order, and rows of 17 are unchunked; the cumulative sums
+        # stay sequential across chunks.
+        monkeypatch.setattr(prng, "_TILE", tile)
+        monkeypatch.setattr(oracles, "_BLOCK_UNIFORMS", 64)
+        for width in (17, 150):
+            self._check(sampler, width, 5, monkeypatch)
