@@ -187,8 +187,8 @@ def cmd_sum(args) -> _Outcome:
     value = closed_forms.sum_moments(args.n, args.a, args.lam).value
     results = {"sum": _rat_fields(value)}
     if args.verify:
-        by_terms = sum(closed_forms.diagonal_moment(k, args.a, args.lam).value
-                       for k in range(1, args.n + 1))
+        by_terms = (math.factorial(args.a) * identities.telescoping_lhs(args.n, args.a)
+                    / args.lam ** args.a)
         if by_terms != value:
             raise closed_forms.CrossCheckError(
                 f"term-by-term sum {by_terms} != {value}")

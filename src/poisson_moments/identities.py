@@ -2,8 +2,8 @@
 that underpin the closed-form moment expressions.
 
 Each checker evaluates both sides of one identity independently and
-returns whether they agree.  Every check is an exact rational
-comparison; no floating point enters this module.  The one
+returns whether they agree.  Every check is an exact integer or
+rational comparison; no floating point enters this module.  The one
 transcendental identity, the incomplete-Gamma closed form, is checked
 through its derivative: the polynomial coefficients multiplying
 exp(-lambda t) are compared in Rat.
@@ -11,12 +11,15 @@ exp(-lambda t) are compared in Rat.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .exact_arith import Rat, binomial, factorial, pochhammer
+from .exact_arith import Rat, factorial, pochhammer
 
 __all__ = [
     "IdentityReport",
+    "telescoping_lhs",
     "check_telescoping_sum",
     "check_alternating_binomial",
     "d_polynomial_identity",
@@ -42,43 +45,43 @@ class IdentityReport:
             self.first_failure = params
 
 
+def telescoping_lhs(n: int, a: int) -> Rat:
+    """sum_{k=1..n} (a/2+1)_{k-1}/(k-1)! in one backward Horner pass over
+    integers: term j+1 is term j times (a+2j)/(2j)."""
+    num, den = 0, 1
+    for j in range(n, 0, -1):
+        num, den = den * 2 * j + num * (a + 2 * j), den * 2 * j
+    return Rat(num, den)
+
+
 def check_telescoping_sum(n: int, a: int) -> bool:
     """sum_{k=1..n} Gamma(a/2+k)/Gamma(k) = (2n/(2+a)) Gamma(n+1+a/2)/Gamma(n+1).
 
-    Both sides are divided by Gamma(a/2+1), which leaves the sqrt(pi)-free
-    Pochhammer quotients sum_{k=1..n} (a/2+1)_{k-1}/(k-1)! =
-    (2n/(2+a)) (a/2+1)_n/n!.  The left-hand terms follow by the ratio
-    (a/2+k)/k; the right-hand side is evaluated directly.
+    Divided by Gamma(a/2+1), both sides are sqrt(pi)-free: `telescoping_lhs`
+    against (2n/(2+a)) (a/2+1)_n/n!, evaluated directly.
     """
-    lhs, term = Rat(0), Rat(1)
-    for k in range(1, n + 1):
-        lhs += term
-        term *= (Rat(a, 2) + k) / k
-    return lhs == Rat(2 * n, 2 + a) * pochhammer(Rat(a, 2) + 1, n) / factorial(n)
+    return telescoping_lhs(n, a) == (Rat(2 * n, 2 + a) * pochhammer(Rat(a, 2) + 1, n)
+                                     / factorial(n))
 
 
 def check_alternating_binomial(a: int, k: int) -> bool:
     """sum_j (-1)^(a-j) C(j+k-1,k-1) C(a-j+k-1,k-1) = C(a/2+k-1,k-1) (even a), 0 (odd a)."""
-    lhs = sum((-1) ** (a - j) * binomial(j + k - 1, k - 1)
-              * binomial(a - j + k - 1, k - 1)
+    lhs = sum((-1) ** (a - j) * math.comb(j + k - 1, k - 1)
+              * math.comb(a - j + k - 1, k - 1)
               for j in range(a + 1))
-    rhs = binomial(a // 2 + k - 1, k - 1) if a % 2 == 0 else Rat(0)
-    return lhs == rhs
+    return lhs == (math.comb(a // 2 + k - 1, k - 1) if a % 2 == 0 else 0)
 
 
 def d_polynomial_lhs(k: int, a: int) -> Rat:
     """The double sum D(k,a) for odd a, evaluated exactly."""
     if a % 2 == 0 or a < 1:
         raise ValueError(f"d_polynomial identity requires odd a, got {a}")
-    total = Rat(0)
-    for l in range(a):
-        inner = Rat(0)
-        for j in range(l + 1):
-            inner += ((-1) ** j * pochhammer(k, a - j) * pochhammer(k, j)
-                      * binomial(a, j))
-        total += inner * pochhammer(k, (a + 1) // 2) / (
-            pochhammer(k, 1 + l) * pochhammer(k, a - l))
-    return total
+    terms = [(-1) ** j * pochhammer(k, a - j) * pochhammer(k, j) * math.comb(a, j)
+             for j in range(a)]
+    # The inner sum over j <= l is a prefix sum of the terms.
+    return sum(inner * pochhammer(k, (a + 1) // 2)
+               / (pochhammer(k, 1 + l) * pochhammer(k, a - l))
+               for l, inner in enumerate(accumulate(terms)))
 
 
 def d_polynomial_identity(k: int, a: int) -> bool:
@@ -95,21 +98,15 @@ def gould_identity(a: int, b: int) -> bool:
     """sum_{j=0..b} C(a,j) C(a-1-b-j, b-j) = (2^b/b!) prod_{j=1..b}(a-(2j-1))."""
     if b < 0 or 2 * b > a - 1:
         raise ValueError(f"gould_identity requires 0 <= b <= (a-1)/2, got a={a}, b={b}")
-    lhs = sum(binomial(a, j) * binomial(a - 1 - b - j, b - j)
+    lhs = sum(math.comb(a, j) * math.comb(a - 1 - b - j, b - j)
               for j in range(b + 1))
-    if b == 0:
-        rhs = Rat(1)
-    else:
-        rhs = Rat(2) ** b / factorial(b)
-        for j in range(1, b + 1):
-            rhs *= a - (2 * j - 1)
-    return lhs == rhs
+    # Times b!, both sides are integers; the product is (a-1)(a-3)...(a-2b+1).
+    return lhs * math.factorial(b) == 2 ** b * math.prod(range(a - 1, a - 2 * b, -2))
 
 
 def check_partial_geometric(m: int) -> bool:
-    """sum_{j=0..m} C(m+j,m) 2^(-j) = 2^m."""
-    lhs = sum(binomial(m + j, m) / Rat(2) ** j for j in range(m + 1))
-    return lhs == Rat(2) ** m
+    """sum_{j=0..m} C(m+j,m) 2^(-j) = 2^m, compared times 2^m as integers."""
+    return sum(math.comb(m + j, m) << (m - j) for j in range(m + 1)) == 1 << 2 * m
 
 
 def _is_gamma_cdf(p: list, m: int, lam: Rat) -> bool:
@@ -147,7 +144,7 @@ def _bound(value: int | None, default: int) -> int:
 
 def run_suite(name: str, max_a: int | None = None,
               max_k: int | None = None, max_n: int | None = None) -> IdentityReport:
-    """Run one identity checker over its default (spec-sized) grid."""
+    """Run one checker over its grid (spec-sized by default); ValueError if empty."""
     report = IdentityReport(name=name)
     if name == "telescoping":
         for n in range(1, _bound(max_n, 50) + 1):
@@ -176,6 +173,8 @@ def run_suite(name: str, max_a: int | None = None,
             report.record((m, lam, x), check_incomplete_gamma(m, lam, x))
     else:
         raise ValueError(f"unknown identity suite: {name}")
+    if not report.parameter_set:
+        raise ValueError(f"the bounds leave identity suite {name} no case")
     return report
 
 

@@ -388,13 +388,9 @@ class TestExitPaths:
                          "identity suite geometric FAILED at 3"]
 
     def test_sum_term_by_term_mismatch_exits_3(self, monkeypatch):
-        real = closed_forms.diagonal_moment
-
-        def off_by_one_at_k2(k, a, lam=1):
-            value = real(k, a, lam)
-            return value if k != 2 else closed_forms.MomentValue(value.value + 1)
-
-        monkeypatch.setattr(closed_forms, "diagonal_moment", off_by_one_at_k2)
+        real = cli.identities.telescoping_lhs
+        monkeypatch.setattr(cli.identities, "telescoping_lhs",
+                            lambda n, a: real(n, a) + 1)
         code, lines = self._run(["--format", "json", "sum", "--n", "3",
                                  "--a", "1", "--verify"])
         assert code == cli.EXIT_CROSS_CHECK == 3

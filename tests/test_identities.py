@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from poisson_moments.closed_forms import sum_moments
 from poisson_moments.exact_arith import factorial
 from poisson_moments.identities import (
     IdentityReport,
@@ -15,13 +16,52 @@ from poisson_moments.identities import (
     d_polynomial_lhs,
     gould_identity,
     run_suite,
+    telescoping_lhs,
 )
+
+
+def _stepped_telescoping_lhs(n, a):
+    """The left-hand side summed term by term in Fraction steps (reference)."""
+    lhs, term = Fraction(0), Fraction(1)
+    for k in range(1, n + 1):
+        lhs += term
+        term *= (Fraction(a, 2) + k) / k
+    return lhs
 
 
 def test_run_suite_zero_bound_is_not_the_default():
     # 0 is a bound, not "unset": the geometric suite then checks m = 0 only.
     assert run_suite("geometric", max_n=0).parameter_set == [(0,)]
     assert len(run_suite("geometric").parameter_set) == 41
+
+
+@pytest.mark.parametrize("suite, bounds", [
+    ("telescoping", {"max_n": 0}), ("telescoping", {"max_a": 0}),
+    ("telescoping", {"max_n": -3}),
+    ("binomial", {"max_k": 0}), ("binomial", {"max_a": -1}),
+    ("dpoly", {"max_a": 0}), ("dpoly", {"max_k": 0}), ("dpoly", {"max_a": -2}),
+    ("gould", {"max_a": 0}), ("gould", {"max_a": -1}),
+    ("geometric", {"max_n": -1}),
+])
+def test_run_suite_rejects_an_empty_grid(suite, bounds):
+    with pytest.raises(ValueError, match="no case"):
+        run_suite(suite, **bounds)
+
+
+def test_telescoping_lhs_small_n():
+    assert telescoping_lhs(0, 3) == 0   # the empty loop
+    assert telescoping_lhs(1, 3) == 1
+    assert telescoping_lhs(2, 1) == Fraction(5, 2)
+
+
+def test_telescoping_lhs_matches_the_stepped_sum():
+    for n in range(1, 61):
+        for a in range(1, 14):
+            assert telescoping_lhs(n, a) == _stepped_telescoping_lhs(n, a), (n, a)
+
+
+def test_telescoping_lhs_is_the_diagonal_partial_sum():
+    assert factorial(3) * telescoping_lhs(2000, 3) == sum_moments(2000, 3).value
 
 
 def test_telescoping_examples():

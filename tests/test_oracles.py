@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from poisson_moments import closed_forms, oracles, prng
+from poisson_moments import closed_forms, identities, oracles, prng
 from poisson_moments.closed_forms import (
     MomentQuery,
     diagonal_moment,
@@ -107,6 +107,13 @@ def test_the_exact_oracle_shares_no_code_with_the_closed_forms():
     assert not _package_imports(oracles) & {
         "closed_forms", "exact_arith", "identities", "matching_lab"}
     assert "oracles" not in _package_imports(closed_forms)
+
+
+def test_the_identity_checks_share_no_code_with_the_closed_forms():
+    # `sum --verify` sums the diagonal moments with `identities.telescoping_lhs`,
+    # so that check would share a fault with `sum_moments` if it imported it.
+    assert not _package_imports(identities) & {
+        "closed_forms", "oracles", "matching_lab"}
 
 
 class TestPrng:
