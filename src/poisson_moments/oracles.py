@@ -11,15 +11,18 @@ Two routes that share no code with the closed forms:
 Every Monte Carlo estimate draws rate-1 gaps, divides each distance by
 the rate before raising it to b, and reduces the values with
 `blocked_estimate`, in blocks of bounded memory.  Within a block a
-sampler never holds a block-sized array: `gap_sums` draws, transforms
-and sums the gaps one cache-sized tile of whole rows at a time, so only
-per-row results leave the tile.  Each block's rows are sampled as
-contiguous slices, one per CPU the process may run on (fewer for a small
-block), the first on the calling thread and the rest on a thread pool,
-and joined in row order.  Row i of every sampler is a pure function of
-its stream addresses (the PRNG is counter-based, and sums and cumulative
-sums run along the row), so the block, and with it every mean and
-stderr, is bit-identical for any number of threads or any tile size.
+sampler never holds a block-sized or row-sized array: `gap_sums` draws,
+transforms and sums the gaps one cache-sized tile (of whole rows, or of
+one wide row's columns) at a time, so only per-row results leave the
+tile.  Each block's rows are sampled as contiguous slices, one per CPU
+the process may run on (fewer for a small block), the first on the
+calling thread and the rest on a thread pool, and joined in row order.
+Row i of every sampler is a pure function of its stream addresses (the
+PRNG is counter-based, and sums and cumulative sums run along the row),
+so the block, and with it every mean and stderr, is bit-identical for
+any number of threads.  A row wider than a tile adds its tile sums in
+column order, so only there is the tile size part of the reduction
+order, as _BLOCK_ROWS is.
 numpy is imported inside the functions that draw or reduce samples, and
 the thread pool only for blocks of several slices, so the exact oracle
 (and every caller that never samples) loads neither.
@@ -129,11 +132,8 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     The uniforms are drawn as -U, which is exact, so the values are the
     gaps' exact negations, as are their sums and cumulative sums.  Each
     tile is drawn, transformed and summed in cache before the next: whole
-    rows, prng._TILE // width of them (read at call time), or a row wider
-    than a tile in column tiles written into one row-sized array, summed
-    once so that numpy's pairwise row sum sees the whole row.  A row wider
-    than _BLOCK_UNIFORMS is summed in chunks of that many columns, and the
-    chunk sums are added in order.
+    rows, prng._TILE // width of them (read at call time), or prng._TILE
+    columns of a wider row, whose tile sums are added in column order.
     """
     import numpy as np
 
@@ -143,44 +143,41 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     rows, tile = len(keys[0]), prng._TILE
     cols = min(width, tile)              # columns per tile
     step = tile // cols                  # rows per tile
-    chunk = min(width, _BLOCK_UNIFORMS)  # columns per row sum
     counters = prng.counter_words(cols)
-    # One allocation holds the scratch, the tiles of streams[1:] and x (a
-    # row tile, or a row chunk).  Freed whole, it raises glibc's dynamic
-    # mmap and trim thresholds past a slice's working set, so that later
-    # calls reuse heap pages instead of faulting in fresh ones (x86_64).
+    # One allocation holds the scratch and a tile of each stream.  Freed
+    # whole, it raises glibc's dynamic mmap and trim thresholds past a
+    # slice's working set, so that later calls reuse heap pages instead of
+    # faulting in fresh ones (x86_64).
     size = min(rows, step) * cols
-    buf = np.empty(len(keys) * size + min(rows, step) * chunk)
-    t, *ys = buf[:len(keys) * size].reshape(len(keys), size)
-    x = buf[len(keys) * size:]
+    t, *gs = np.empty((len(keys) + 1) * size).reshape(len(keys) + 1, size)
     sums = np.empty(rows)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
-        for c0 in range(0, width, chunk):
-            v = x[:(r1 - r0) * min(chunk, width - c0)].reshape(r1 - r0, -1)
-            for t0 in range(c0, c0 + v.shape[1], cols):
-                m = min(cols, c0 + v.shape[1] - t0)
-                tiles = [v[:, t0 - c0:t0 - c0 + m],
-                         *(y[:(r1 - r0) * m].reshape(r1 - r0, m) for y in ys)]
-                for g, k in zip(tiles, keys):
-                    prng.draw(k[r0:r1], counters, t0, g, t, negate=True)
-                    np.log1p(g, out=g)
-                if tail is not None:
-                    tail(*tiles, t0)
+        for c0 in range(0, width, cols):
+            m = min(cols, width - c0)
+            tiles = [g[:(r1 - r0) * m].reshape(r1 - r0, m) for g in gs]
+            for g, k in zip(tiles, keys):
+                prng.draw(k[r0:r1], counters, c0, g, t, negate=True)
+                np.log1p(g, out=g)
+            if tail is not None:
+                tail(*tiles, c0)
             if c0:
-                sums[r0:r1] += np.sum(v, axis=1)
+                sums[r0:r1] += np.sum(tiles[0], axis=1)
             else:
-                np.sum(v, axis=1, out=sums[r0:r1])
+                np.sum(tiles[0], axis=1, out=sums[r0:r1])
     return sums
 
 
 def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
     """sum(weight * d^2) as (q, e) with the sum = q * 4^e, taken on the exact
-    d * 2^-e so that squares near the float floor do not underflow."""
+    d * 2^-e so that squares near the float floor do not underflow; d is
+    overwritten."""
     import numpy as np
 
-    e = int(np.frexp(np.max(np.abs(d)))[1])
-    return float(np.sum(weight * np.ldexp(d, -e) ** 2)), e
+    e = int(np.frexp(np.max(np.abs(d, out=d)))[1])
+    np.square(np.ldexp(d, -e, out=d), out=d)
+    d *= weight
+    return float(np.sum(d)), e
 
 
 def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
@@ -226,7 +223,8 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
             rest = run(part, cuts[1:-1], cuts[2:])
             v = np.concatenate([part(cuts[0], cuts[1]), *rest])
             s = float(np.sum(v))
-            blocks.append((len(v), s / len(v), _sum_sq(v - s / len(v))))
+            v -= s / len(v)
+            blocks.append((len(v), s / len(v), _sum_sq(v)))
             total += s
         mean = total / rows
         n, means, parts = zip(*blocks)

@@ -25,7 +25,7 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _INV_2_53 = float(2.0 ** -53)
 # Words hashed and converted per tile: a 512 KiB tile and its scratch stay
-# in cache across the passes over it.  The tiling changes no value.
+# in cache.  It changes no uniform, nor the sum of a row no wider than it.
 _TILE = 1 << 16
 
 

@@ -293,22 +293,6 @@ class TestBlockedEstimate:
             assert est.stderr / scale == pytest.approx(
                 np.std(v / scale, ddof=1) / math.sqrt(5000), rel=1e-9)
 
-    def test_memory_is_bounded(self, monkeypatch):
-        # A stream block holds at most 2^22 float64 uniforms (32 MB), and
-        # fewer than 8 block-sized arrays are alive at once, however many
-        # threads share a block's rows.
-        for workers in (1, 2):
-            monkeypatch.setattr(oracles, "_WORKERS", workers)
-            for run in (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0),
-                        lambda: mc_sorted_cost(4096, 1.0, 4096, 0)):
-                tracemalloc.start()
-                try:
-                    run()
-                    peak = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
-                assert peak <= 8 * (1 << 22) * 8, (workers, peak)
-
     @pytest.mark.parametrize("run, tiles", [
         (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0), 2.5),
         (lambda: mc_sorted_cost(4096, 1.0, 4096, 0), 3.5),
@@ -335,8 +319,8 @@ class TestBlockedEstimate:
         lambda: mc_sorted_cost((1 << 22) + 1, 1.0, 2, 0),
     ], ids=["mc_moment", "mc_sorted_cost"])
     def test_peak_above_a_block_of_columns(self, run):
-        # A row of 2^22 + 1 gaps is summed over column chunks of 2^22: the
-        # one row-sized array holds a chunk, beside a few tiles and, when a
+        # A row of 2^22 + 1 gaps is drawn and summed one column tile at a
+        # time, so nothing row-sized is allocated: a few tiles and, when a
         # pool samples the row, the pool's first import.
         tracemalloc.start()
         try:
@@ -344,7 +328,23 @@ class TestBlockedEstimate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (1 << 22) * 8 + 8 * prng._TILE * 8, peak / (1 << 25)
+        tile = prng._TILE * 8
+        assert peak <= 8 * tile, peak / tile
+
+    def test_block_reduction_works_in_the_block(self, monkeypatch):
+        # One 2^16-row block on one worker: the sampled slice and the
+        # joined block are the only row vectors; the block is centred and
+        # squared in place.
+        monkeypatch.setattr(oracles, "_WORKERS", 1)
+        rows = 1 << 16
+        tracemalloc.start()
+        try:
+            blocked_estimate(lambda lo, hi: np.arange(lo, hi, dtype=float),
+                             rows, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * rows * 8, peak / (rows * 8)
 
     def test_calling_thread_samples_the_first_slice(self, monkeypatch):
         # Three blocks of 2^12 rows x 2^10 uniforms get one slice per
@@ -398,12 +398,12 @@ class TestBlockedEstimate:
 
 
 def _row_sums(a):
-    # np.sum along the rows, over column chunks of _BLOCK_UNIFORMS added in
-    # order: np.sum(a, axis=1) itself for a row no wider than a chunk.
-    chunk = oracles._BLOCK_UNIFORMS
-    sums = np.sum(a[:, :chunk], axis=1)
-    for c0 in range(chunk, a.shape[1], chunk):
-        sums += np.sum(a[:, c0:c0 + chunk], axis=1)
+    # np.sum along the rows, over column tiles of prng._TILE added in order:
+    # np.sum(a, axis=1) itself for a row no wider than a tile.
+    tile = prng._TILE
+    sums = np.sum(a[:, :tile], axis=1)
+    for c0 in range(tile, a.shape[1], tile):
+        sums += np.sum(a[:, c0:c0 + tile], axis=1)
     return sums
 
 
@@ -482,9 +482,10 @@ class TestFusedSamplers:
     @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
     def test_rows_wider_than_a_block_sum_column_chunks(self, sampler, tile,
                                                        monkeypatch):
-        # With 64-word column chunks, rows of 150 sum chunks of 64, 64 and
-        # 22 in order, and rows of 17 are unchunked; the cumulative sums
-        # stay sequential across chunks.
+        # With 64-uniform blocks, each block holds 3 rows of 17 or 1 row of
+        # 150.  With 7-word tiles, those rows add their tile sums in order
+        # and carry their cumulative sums from tile to tile; with full tiles
+        # each row is one tile.
         monkeypatch.setattr(prng, "_TILE", tile)
         monkeypatch.setattr(oracles, "_BLOCK_UNIFORMS", 64)
         for width in (17, 150):
