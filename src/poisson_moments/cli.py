@@ -58,39 +58,21 @@ def _in_float_range(name: str, value) -> float:
     return x
 
 
-def _positive_rational(text: str) -> Fraction:
-    try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
-
-
-def _int_at_least(low: int):
-    def parse(text: str) -> int:
+def _arg(convert, kind: str, ok, rule: str):
+    """An argparse type: convert(text), rejected unless ok(value)."""
+    def parse(text: str):
         try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}: {text}")
+            value = convert(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not {kind}: {text!r}") from exc
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}: {text}")
         return value
     return parse
 
 
-_positive_int = _int_at_least(1)
-
-
-def _exponent(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0: {text}")
-    return value
+_positive_int = _arg(int, "an integer", lambda v: v >= 1, ">= 1")
+_exponent = _arg(float, "a number", lambda v: 0 < v < math.inf, "finite and > 0")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -262,49 +244,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "csv", "text"),
                         default="text")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    lam = argparse.ArgumentParser(add_help=False)
+    lam.add_argument("--lambda", dest="lam", default=Fraction(1),
+                     type=_arg(Fraction, "a rational", lambda v: v > 0, "positive"))
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    pair = argparse.ArgumentParser(add_help=False)  # X_{k+r} and Y_k
+    pair.add_argument("--k", type=int, required=True)
+    pair.add_argument("--r", type=int, default=0)
 
-    p = sub.add_parser("moment", help="exact moment E|X_{k+r} - Y_k|^a")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=0)
+    p = sub.add_parser("moment", parents=[lam, pair],
+                       help="exact moment E|X_{k+r} - Y_k|^a")
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive_rational,
-                   default=Fraction(1))
     p.add_argument("--cross-check", action="store_true")
     p.set_defaults(func=cmd_moment)
 
-    p = sub.add_parser("sum", help="exact partial sum of diagonal moments")
+    p = sub.add_parser("sum", parents=[lam],
+                       help="exact partial sum of diagonal moments")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive_rational,
-                   default=Fraction(1))
     p.add_argument("--verify", action="store_true")
     p.set_defaults(func=cmd_sum)
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("--suite", choices=("all",) + identities.SUITES,
                    default="all")
-    p.add_argument("--max-a", type=_positive_int, default=None)
-    p.add_argument("--max-k", type=_positive_int, default=None)
-    p.add_argument("--max-n", type=_positive_int, default=None)
+    for bound in ("--max-a", "--max-k", "--max-n"):
+        p.add_argument(bound, type=_positive_int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", help="Monte Carlo moment estimate")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, default=0)
+    p = sub.add_parser("simulate", parents=[lam, seed, pair],
+                       help="Monte Carlo moment estimate")
     p.add_argument("--b", type=_exponent, required=True)
-    p.add_argument("--lambda", dest="lam", type=_positive_rational,
-                   default=Fraction(1))
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("matching", help="matching-cost scaling experiment")
+    p = sub.add_parser("matching", parents=[seed],
+                       help="matching-cost scaling experiment")
     p.add_argument("--b", type=_exponent, required=True)
     p.add_argument("--n-min", type=_positive_int, default=8)
     p.add_argument("--n-max", type=_positive_int, default=4096)
-    p.add_argument("--grid-factor", type=_int_at_least(2), default=2)
+    p.add_argument("--grid-factor", default=2,
+                   type=_arg(int, "an integer", lambda v: v >= 2, ">= 2"))
     p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_matching)
     return parser
 

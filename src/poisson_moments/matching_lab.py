@@ -5,11 +5,11 @@ cost sum |X_k - Y_k|^b, verifies optimality against a brute-force
 permutation oracle at small n, and fits the empirical cost-versus-n
 scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
 from rate-1 gaps, each distance divided by n before it is raised to b,
-and summed within each cache-sized tile by `oracles.gap_sums`, which
-carries the arrival times, and adds the sums, across the tiles of a wide
-row; the per-trial costs are reduced by `oracles.blocked_estimate`, so
-memory stays bounded whatever n or trials is.  numpy is imported inside
-the functions that sample or fit, so the exact expected cost and the
+and summed by `oracles.gap_sums` one cache-sized tile of `prng.tiles` at
+a time, with the arrival times carried across the tiles of a wide row;
+the per-trial costs are reduced by `oracles.blocked_estimate`, so memory
+stays bounded whatever n or trials is.  numpy is imported inside the
+functions that sample or fit, so the exact expected cost and the
 brute-force oracle do not load it.
 """
 

@@ -11,18 +11,18 @@ Two routes that share no code with the closed forms:
 Every Monte Carlo estimate draws rate-1 gaps, divides each distance by
 the rate before raising it to b, and reduces the values with
 `blocked_estimate`, in blocks of bounded memory.  Within a block a
-sampler never holds a block-sized or row-sized array: `gap_sums` draws,
-transforms and sums the gaps one cache-sized tile (of whole rows, or of
-one wide row's columns) at a time, so only per-row results leave the
-tile.  Each block's rows are sampled as contiguous slices, one per CPU
-the process may run on (fewer for a small block), the first on the
-calling thread and the rest on a thread pool, and joined in row order.
-Row i of every sampler is a pure function of its stream addresses (the
-PRNG is counter-based, and sums and cumulative sums run along the row),
-so the block, and with it every mean and stderr, is bit-identical for
-any number of threads.  A row wider than a tile adds its tile sums in
-column order, so only there is the tile size part of the reduction
-order, as _BLOCK_ROWS is.
+sampler never holds a block-sized or row-sized array: `gap_sums` turns
+each cache-sized tile that `prng.tiles` draws (of whole rows, or of one
+wide row's columns) into gaps, transforms and sums it before the next,
+so only per-row results leave the tile.  Each block's rows are sampled as
+contiguous slices, one per CPU the process may run on (fewer for a small
+block), the first on the calling thread and the rest on a thread pool,
+and joined in row order.  Row i of every sampler is a pure function of
+its stream addresses (the PRNG is counter-based, and sums and cumulative
+sums run along the row), so the block, and with it every mean and
+stderr, is bit-identical for any number of threads.  A row wider than a
+tile adds its tile sums in column order, so only there is the tile size
+part of the reduction order, as _BLOCK_ROWS is.
 numpy is imported inside the functions that draw or reduce samples, and
 the thread pool only for blocks of several slices, so the exact oracle
 (and every caller that never samples) loads neither.
@@ -131,40 +131,24 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
 
     The uniforms are drawn as -U, which is exact, so the values are the
     gaps' exact negations, as are their sums and cumulative sums.  Each
-    tile is drawn, transformed and summed in cache before the next: whole
-    rows, prng._TILE // width of them (read at call time), or prng._TILE
-    columns of a wider row, whose tile sums are added in column order.
+    tile that prng.tiles walks is transformed and summed in cache before
+    the next is drawn; the tile sums of a row wider than a tile are added
+    in column order.
     """
     import numpy as np
 
-    from . import prng
+    from .prng import tiles
 
-    keys = [prng.stream_keys(seed, s) for s in streams]
-    rows, tile = len(keys[0]), prng._TILE
-    cols = min(width, tile)              # columns per tile
-    step = tile // cols                  # rows per tile
-    counters = prng.counter_words(cols)
-    # One allocation holds the scratch and a tile of each stream.  Freed
-    # whole, it raises glibc's dynamic mmap and trim thresholds past a
-    # slice's working set, so that later calls reuse heap pages instead of
-    # faulting in fresh ones (x86_64).
-    size = min(rows, step) * cols
-    t, *gs = np.empty((len(keys) + 1) * size).reshape(len(keys) + 1, size)
-    sums = np.empty(rows)
-    for r0 in range(0, rows, step):
-        r1 = min(r0 + step, rows)
-        for c0 in range(0, width, cols):
-            m = min(cols, width - c0)
-            tiles = [g[:(r1 - r0) * m].reshape(r1 - r0, m) for g in gs]
-            for g, k in zip(tiles, keys):
-                prng.draw(k[r0:r1], counters, c0, g, t, negate=True)
-                np.log1p(g, out=g)
-            if tail is not None:
-                tail(*tiles, c0)
-            if c0:
-                sums[r0:r1] += np.sum(tiles[0], axis=1)
-            else:
-                np.sum(tiles[0], axis=1, out=sums[r0:r1])
+    sums = np.empty(len(streams[0]))
+    for r0, r1, c0, gs in tiles(seed, streams, width, negate=True):
+        for g in gs:
+            np.log1p(g, out=g)
+        if tail is not None:
+            tail(*gs, c0)
+        if c0:
+            sums[r0:r1] += np.sum(gs[0], axis=1)
+        else:
+            np.sum(gs[0], axis=1, out=sums[r0:r1])
     return sums
 
 
@@ -186,7 +170,8 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
     is sampled as contiguous row slices, one per started `_SLICE_UNIFORMS`
     uniforms up to `_WORKERS` (some empty when the block has fewer rows
     than slices), the first on the calling thread and the rest on a pool,
-    and joined in row order; blocks are merged in order by their
+    and joined in row order (a one-slice block is reduced in the array
+    that sample returned); blocks are merged in order by their
     (n, sum, M2) (Chan, Golub & LeVeque 1979).  Values beyond float range
     come out as inf or nan, an M2 beyond it as stderr = inf.
     """
@@ -221,7 +206,9 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
             # pool threads, glibc held on to freed blocks in the threads'
             # arenas and peak RSS grew by up to two thirds (x86_64).
             rest = run(part, cuts[1:-1], cuts[2:])
-            v = np.concatenate([part(cuts[0], cuts[1]), *rest])
+            v = part(cuts[0], cuts[1])
+            if w > 1:
+                v = np.concatenate([v, *rest])
             s = float(np.sum(v))
             v -= s / len(v)
             blocks.append((len(v), s / len(v), _sum_sq(v)))

@@ -6,17 +6,17 @@ bit-for-bit regardless of platform or block layout: a row of
 `uniform_block` does not depend on the other streams drawn with it, and
 a column prefix equals the shorter block.  The mixer is the splitmix64
 finalizer applied to a Weyl sequence, evaluated vectorized in numpy.
-`draw` hashes and converts one tile, whole rows or a piece of one row, in
-the array it writes, with one tile of scratch; tiles of `_TILE` words
-stay in cache.  `uniform_block` fills its block with it tile by tile, and
-the Monte Carlo samplers reduce each tile before drawing the next.
+`tiles` hashes and converts a draw one tile at a time, whole rows or a
+piece of one row, in place with one tile of scratch; tiles of `_TILE`
+words stay in cache.  `uniform_block` copies the tiles into one block,
+and the Monte Carlo samplers reduce each tile before the next is drawn.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["uniform_block"]
+__all__ = ["tiles", "uniform_block"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -50,13 +50,6 @@ def stream_keys(seed: int, streams) -> np.ndarray:
     return _finalize(keys, np.empty_like(keys))
 
 
-def counter_words(n: int) -> np.ndarray:
-    """The Weyl steps of counters 0..n-1, which `draw` adds to the keys."""
-    words = np.arange(1, n + 1, dtype=np.uint64)
-    words *= _GOLDEN
-    return words
-
-
 def _to_uniform(words: np.ndarray, t: np.ndarray,
                 negate: bool = False) -> np.ndarray:
     """(m + 0.5) * 2^-53 for the top 53 bits m of each word, or its exact
@@ -71,30 +64,45 @@ def _to_uniform(words: np.ndarray, t: np.ndarray,
     return np.multiply(u, scale, out=words.view(np.float64))
 
 
-def draw(keys: np.ndarray, counters: np.ndarray, c0: int, out: np.ndarray,
-         t: np.ndarray, negate: bool = False) -> np.ndarray:
-    """Write into out, of shape (len(keys), m), the uniforms of counters
-    c0..c0+m-1 of the streams with these keys, negated if asked (scaling by
-    -2^-53 is exact).  counters = counter_words(at least m); t is flat
-    scratch of at least out.size words."""
-    if c0:
-        keys = keys + np.uint64(c0 * int(_GOLDEN) & _MASK)
-    words = out.view(np.uint64)
-    np.add(keys[:, None], counters[:words.shape[1]], out=words)
-    s = t.view(np.uint64)[:words.size].reshape(words.shape)
-    return _to_uniform(_finalize(words, s), s, negate)
+def tiles(seed: int, streams: list, width: int, negate: bool = False):
+    """Walk the uniforms of counters 0..width-1 of each array of streams in
+    streams, negated if asked (scaling by -2^-53 is exact), one tile at a
+    time: yield (r0, r1, c0, tiles), where tiles holds, per array, the
+    (r1 - r0, m) uniforms of its streams r0..r1-1 at counters c0..c0+m-1.
+    A tile is whole rows, _TILE // width of them (read at call time), or
+    _TILE columns of a wider row; the walk goes down the rows, and along
+    each row's column tiles in order.  Each tile is overwritten by the next."""
+    keys = [stream_keys(seed, s) for s in streams]
+    rows = len(keys[0])
+    cols = min(width, _TILE) or 1        # columns per tile
+    step = _TILE // cols                 # rows per tile
+    counters = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN  # Weyl steps
+    # One allocation holds the scratch and a tile of each array.  Freed
+    # whole, it raises glibc's dynamic mmap and trim thresholds past a
+    # slice's working set, so that later calls reuse heap pages instead of
+    # faulting in fresh ones (x86_64).
+    size = min(rows, step) * cols
+    t, *buf = np.empty((len(keys) + 1) * size,
+                       dtype=np.uint64).reshape(len(keys) + 1, size)
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        for c0 in range(0, width, cols):
+            m = min(cols, width - c0)
+            out = []
+            for b, k in zip(buf, keys):
+                k = k[r0:r1]
+                if c0:
+                    k = k + np.uint64(c0 * int(_GOLDEN) & _MASK)
+                words = b[:(r1 - r0) * m].reshape(r1 - r0, m)
+                np.add(k[:, None], counters[:m], out=words)
+                s = t[:words.size].reshape(words.shape)
+                out.append(_to_uniform(_finalize(words, s), s, negate))
+            yield r0, r1, c0, out
 
 
 def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     """Uniforms for counters 0..n-1 of many streams; shape (len(streams), n)."""
-    keys = stream_keys(seed, streams)
-    out = np.empty((len(keys), n))
-    cols = min(n, _TILE) or 1
-    step = _TILE // cols
-    counters = counter_words(cols)
-    t = np.empty(min(out.size, _TILE), dtype=np.uint64)
-    for r0 in range(0, len(keys), step):
-        for c0 in range(0, n, cols):
-            r1, c1 = r0 + step, c0 + cols
-            draw(keys[r0:r1], counters, c0, out[r0:r1, c0:c1], t)
+    out = np.empty((len(streams), n))
+    for r0, r1, c0, (u,) in tiles(seed, [streams], n):
+        out[r0:r1, c0:c0 + u.shape[1]] = u
     return out
