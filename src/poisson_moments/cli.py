@@ -145,10 +145,7 @@ def cmd_moment(args) -> _Outcome:
         i = args.k + args.r
         methods = {"first_principles":
                    oracles.exact_moment_first_principles(i, args.k, args.a, args.lam)}
-        if args.a % 2 == 0:
-            methods["even_general"] = closed_forms.even_moment_general(
-                i, args.k, args.a, args.lam).value
-        else:
+        if args.a % 2:  # the value is even_moment_general itself for even a
             methods["lemma2"] = closed_forms.odd_moment_lemma2(
                 i, args.k, args.a, args.lam).value
             methods["lemma3"] = closed_forms.odd_moment_lemma3(

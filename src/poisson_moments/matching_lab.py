@@ -103,12 +103,12 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
 
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
-    if not (n >= 1 and b > 0):
-        raise ValueError("require n >= 1, b > 0")
+    if not (n >= 1 and 0 < b < math.inf):
+        raise ValueError("require n >= 1, 0 < b < inf")
 
     def costs(lo: int, hi: int) -> np.ndarray:
-        # Arrival times, then (|x - y| / n) ** b, in each tile of negated
-        # gaps: the cumulative sums are the arrival times negated, and
+        # Arrival times, then (|x - y| / n) ** b, in each tile of -gaps:
+        # the cumulative sums are minus the arrival times, and
         # x - y = -(X - Y) exactly.  A row wider than a tile carries its
         # cumulative sums into the next tile's first gaps, which keeps them
         # sequential.  **= takes numpy's scalar-power fast paths as ** does,

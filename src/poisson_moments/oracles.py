@@ -110,28 +110,15 @@ def exact_moment_first_principles(i: int, k: int, a: int,
     return Fraction(total, 1 << e) / Fraction(lam) ** a
 
 
-def rate1_gaps(seed: int, streams, n: int) -> np.ndarray:
-    """Inverse-CDF Exp(1) gaps -log(1-U) for counters 0..n-1 of each
-    stream; shape (len(streams), n), computed in the uniforms' array."""
-    import numpy as np
-
-    from .prng import uniform_block
-
-    g = uniform_block(seed, streams, n)
-    np.negative(g, out=g)
-    np.log1p(g, out=g)
-    return np.negative(g, out=g)
-
-
 def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
-    """Sum along each row of the negated rate-1 gaps log1p(-U) of counters
+    """Sum along each row of minus the rate-1 gaps, log1p(-U), of counters
     0..width-1 of the streams in streams[0]; given tail(x, y, c0), the sum
     of what tail leaves in x, a tile of those gaps that starts at column c0,
     from y, the same tile of the streams in streams[1].
 
-    The uniforms are drawn as -U, which is exact, so the values are the
-    gaps' exact negations, as are their sums and cumulative sums.  Each
-    tile that prng.tiles walks is transformed and summed in cache before
+    prng.tiles yields -U, so log1p turns each tile in place into minus the
+    gaps, exactly, and their sums and cumulative sums are exactly minus
+    those of the gaps.  Each tile is transformed and summed in cache before
     the next is drawn; the tile sums of a row wider than a tile are added
     in column order.
     """
@@ -140,7 +127,7 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     from .prng import tiles
 
     sums = np.empty(len(streams[0]))
-    for r0, r1, c0, gs in tiles(seed, streams, width, negate=True):
+    for r0, r1, c0, gs in tiles(seed, streams, width):
         for g in gs:
             np.log1p(g, out=g)
         if tail is not None:
@@ -229,20 +216,27 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
 
     The arrivals are the cumulative sums of the stream's rate-1 gaps,
     divided by lam, so identical (seed, stream, n, lam) always reproduces
-    the identical sequence.
+    the identical sequence.  The row is read from the tiles of -U that
+    prng.tiles yields: their log1p are minus the gaps, and so the
+    cumulative sums are minus the arrivals until the exact division by -lam.
     """
     import numpy as np
 
+    from .prng import tiles
+
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not lam > 0:
-        raise ValueError(f"lambda must be > 0, got {lam}")
-    return np.cumsum(rate1_gaps(seed, [stream], n)[0]) / lam
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    row = np.empty(n)
+    for r0, r1, c0, (u,) in tiles(seed, [[stream]], n):
+        np.log1p(u[0], out=row[c0:c0 + u.shape[1]])
+    return np.cumsum(row, out=row) / -lam
 
 
 def mc_moment(k: int, r: int, b: float, lam: float,
               samples: int, seed: int) -> MCEstimate:
-    """Monte Carlo estimate of E|X_{k+r} - Y_k|^b (any real b > 0).
+    """Monte Carlo estimate of E|X_{k+r} - Y_k|^b (any finite real b > 0).
 
     Pair m draws its two processes from streams 2m and 2m+1, so the
     result is a pure function of (seed, k, r, b, lam, samples).
@@ -251,11 +245,11 @@ def mc_moment(k: int, r: int, b: float, lam: float,
 
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if not (k >= 1 and r >= 0 and b > 0 and lam > 0):
-        raise ValueError("require k >= 1, r >= 0, b > 0, lam > 0")
+    if not (k >= 1 and r >= 0 and 0 < b < math.inf and 0 < lam < math.inf):
+        raise ValueError("require k >= 1, r >= 0, 0 < b < inf, 0 < lam < inf")
 
     def distances(lo: int, hi: int) -> np.ndarray:
-        # x and y are the arrival times negated, so |x - y| is unchanged;
+        # x and y are minus the arrival times, so |x - y| is unchanged;
         # **= takes numpy's scalar-power fast paths as ** does.
         pairs = np.arange(lo, hi, dtype=np.uint64)
         x = gap_sums(seed, [2 * pairs], k + r)

@@ -8,8 +8,9 @@ a column prefix equals the shorter block.  The mixer is the splitmix64
 finalizer applied to a Weyl sequence, evaluated vectorized in numpy.
 `tiles` hashes and converts a draw one tile at a time, whole rows or a
 piece of one row, in place with one tile of scratch; tiles of `_TILE`
-words stay in cache.  `uniform_block` copies the tiles into one block,
-and the Monte Carlo samplers reduce each tile before the next is drawn.
+words stay in cache.  It always yields minus the uniforms, -U, which is
+exact.  `uniform_block` flips each tile's sign back into one block, and
+the Monte Carlo samplers turn each tile into gaps before the next is drawn.
 """
 
 from __future__ import annotations
@@ -50,28 +51,26 @@ def stream_keys(seed: int, streams) -> np.ndarray:
     return _finalize(keys, np.empty_like(keys))
 
 
-def _to_uniform(words: np.ndarray, t: np.ndarray,
-                negate: bool = False) -> np.ndarray:
-    """(m + 0.5) * 2^-53 for the top 53 bits m of each word, or its exact
-    negation, written over the words: values lie strictly in (0, 1), and m
-    is exact in float64.  The float passes through the scratch t (of the
+def _to_uniform(words: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """-U = (m + 0.5) * -2^-53 for the top 53 bits m of each word, written
+    over the words: U lies strictly in (0, 1), m is exact in float64, and
+    so is the scaling.  The float passes through the scratch t (of the
     words' shape), because numpy copies the input of a cast whose output
     overlaps it."""
     np.right_shift(words, np.uint64(11), out=words)
     u = t.view(np.float64)
     np.add(words, 0.5, out=u)
-    scale = -_INV_2_53 if negate else _INV_2_53
-    return np.multiply(u, scale, out=words.view(np.float64))
+    return np.multiply(u, -_INV_2_53, out=words.view(np.float64))
 
 
-def tiles(seed: int, streams: list, width: int, negate: bool = False):
-    """Walk the uniforms of counters 0..width-1 of each array of streams in
-    streams, negated if asked (scaling by -2^-53 is exact), one tile at a
-    time: yield (r0, r1, c0, tiles), where tiles holds, per array, the
-    (r1 - r0, m) uniforms of its streams r0..r1-1 at counters c0..c0+m-1.
-    A tile is whole rows, _TILE // width of them (read at call time), or
-    _TILE columns of a wider row; the walk goes down the rows, and along
-    each row's column tiles in order.  Each tile is overwritten by the next."""
+def tiles(seed: int, streams: list, width: int):
+    """Walk minus the uniforms, -U, of counters 0..width-1 of each array of
+    streams in streams, one tile at a time: yield (r0, r1, c0, tiles),
+    where tiles holds, per array, the (r1 - r0, m) values -U of its streams
+    r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows, _TILE // width
+    of them (read at call time), or _TILE columns of a wider row; the walk
+    goes down the rows, and along each row's column tiles in order.  Each
+    tile is overwritten by the next."""
     keys = [stream_keys(seed, s) for s in streams]
     rows = len(keys[0])
     cols = min(width, _TILE) or 1        # columns per tile
@@ -96,7 +95,7 @@ def tiles(seed: int, streams: list, width: int, negate: bool = False):
                 words = b[:(r1 - r0) * m].reshape(r1 - r0, m)
                 np.add(k[:, None], counters[:m], out=words)
                 s = t[:words.size].reshape(words.shape)
-                out.append(_to_uniform(_finalize(words, s), s, negate))
+                out.append(_to_uniform(_finalize(words, s), s))
             yield r0, r1, c0, out
 
 
@@ -104,5 +103,5 @@ def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     """Uniforms for counters 0..n-1 of many streams; shape (len(streams), n)."""
     out = np.empty((len(streams), n))
     for r0, r1, c0, (u,) in tiles(seed, [streams], n):
-        out[r0:r1, c0:c0 + u.shape[1]] = u
+        np.negative(u, out=out[r0:r1, c0:c0 + u.shape[1]])
     return out

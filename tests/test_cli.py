@@ -50,6 +50,14 @@ class TestMoment:
         assert check == {"methods": ["first_principles", "lemma2", "lemma3"],
                          "agree": True}
 
+    def test_even_cross_check_is_against_the_oracle(self, capsys):
+        # An even moment is even_moment_general itself, so only the
+        # independent oracle can disagree with it; r > 0 has no diagonal.
+        assert cli.main(["--format", "json", "moment", "--k", "3", "--r", "2",
+                         "--a", "4", "--cross-check"]) == 0
+        check = json.loads(capsys.readouterr().out)["results"]["cross_check"]
+        assert check == {"methods": ["first_principles"], "agree": True}
+
     def test_rational_lambda(self):
         doc = json_out("moment", "--k", "3", "--a", "2", "--lambda", "2")
         assert (doc["results"]["moment"]["num"],

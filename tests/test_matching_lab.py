@@ -80,7 +80,7 @@ class TestExpectedCost:
 
     def test_mc_rejects_bad_args(self):
         for n, b, trials in ((0, 1.0, 10), (4, 0.0, 10), (4, math.nan, 10),
-                             (4, 1.0, 1)):
+                             (4, math.inf, 10), (4, 1.0, 1)):
             with pytest.raises(ValueError):
                 mc_sorted_cost(n, b, trials, seed=0)
 

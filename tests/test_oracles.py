@@ -32,6 +32,32 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _STREAM_SALT = 0xD1B54A32D192ED03
 
 
+def _hex(a):
+    return [float(x).hex() for x in np.ravel(a)]
+
+
+def _reference_uniforms(words):
+    return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+
+
+def _reference_gaps(seed, streams, n):
+    """Exp(1) gaps -log(1-U) of counters 0..n-1 of each stream, as one
+    (len(streams), n) block: splitmix64 in plain numpy over whole rows,
+    sharing no code with prng."""
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    # A 1-element array: uint64 overflow warns on a numpy scalar.
+    seed_hash = mix(np.array([seed & _MASK64], dtype=np.uint64))
+    keys = mix(np.asarray(streams, dtype=np.uint64) * np.uint64(_STREAM_SALT)
+               ^ seed_hash)
+    words = mix(keys[:, None]
+                + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+    return -np.log1p(-_reference_uniforms(words))
+
+
 class TestFirstPrinciplesOracle:
     def test_anchor_values(self):
         assert exact_moment_first_principles(1, 1, 1) == 1
@@ -132,8 +158,9 @@ def _prng_names(module):
                          ids=["oracles", "matching_lab"])
 def test_the_samplers_only_consume_the_tile_walk(module):
     # The tile geometry, the scratch, the counter words and the key offsets
-    # are decided in prng alone; the samplers transform the tiles it yields.
-    assert _prng_names(module) <= {"tiles", "uniform_block"}
+    # are decided in prng alone, and its tiles are the only path from a
+    # uniform to a gap; the samplers transform the tiles it yields.
+    assert _prng_names(module) <= {"tiles"}
 
 
 class TestPrng:
@@ -176,14 +203,10 @@ class TestPrng:
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
         return z ^ (z >> 31)
 
-    @staticmethod
-    def _reference_uniforms(words):
-        return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
-
     def test_float_conversion_matches_the_reference(self):
-        # The float written over each word equals the reference expression,
-        # bit for bit, at the edges of its top 53 bits m (from 2^52 on,
-        # m + 0.5 rounds), under random low bits, and at random words.
+        # The float written over each word is minus the reference
+        # expression, bit for bit, at the edges of its top 53 bits m (from
+        # 2^52 on, m + 0.5 rounds), under random low bits, and at random words.
         rng = np.random.default_rng(5)
         edges = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 1], dtype=np.uint64)
         low = rng.integers(0, 1 << 11, size=(4, 3), dtype=np.uint64)
@@ -191,16 +214,16 @@ class TestPrng:
                                 np.array([0, _MASK64], dtype=np.uint64),
                                 rng.integers(0, _MASK64, 10_000, np.uint64,
                                              endpoint=True)])
-        want = [x.hex() for x in self._reference_uniforms(words)]
-        got = prng._to_uniform(words.copy(), np.empty_like(words))
-        assert [x.hex() for x in got] == want
+        got = -prng._to_uniform(words.copy(), np.empty_like(words))
+        assert _hex(got) == _hex(_reference_uniforms(words))
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
     @pytest.mark.parametrize("width", [1, 17, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 5, 2 ** 64 - 1])
     def test_kernel_matches_the_reference(self, seed, width, tile, monkeypatch):
-        # uniform_block and rate1_gaps against splitmix64 on Python integers,
-        # the reference float expression and -log1p(-u), by float.hex; a
+        # uniform_block, and the gaps -log1p(-u) through gap_sums' row sums
+        # and sample_arrivals' cumulative sums, against splitmix64 on Python
+        # integers and the reference float expression, by float.hex; a
         # 7-word tile splits rows and leaves a short last tile.
         monkeypatch.setattr(prng, "_TILE", tile)
         streams = [0, 1, 12345]
@@ -211,12 +234,14 @@ class TestPrng:
                               + c * _GOLDEN & _MASK64)
              for c in range(1, width + 1)]
             for s in streams], dtype=np.uint64)
-        u = self._reference_uniforms(words)
-        block = uniform_block(seed, streams, width)
-        gaps = oracles.rate1_gaps(seed, streams, width)
-        assert [x.hex() for x in block.ravel()] == [x.hex() for x in u.ravel()]
-        assert ([x.hex() for x in gaps.ravel()]
-                == [x.hex() for x in (-np.log1p(-u)).ravel()])
+        u = _reference_uniforms(words)
+        gaps = -np.log1p(-u)
+        assert _hex(uniform_block(seed, streams, width)) == _hex(u)
+        assert (_hex(-oracles.gap_sums(seed, [streams], width))
+                == _hex(_row_sums(gaps)))
+        for s, row in zip(streams, gaps):
+            assert (_hex(sample_arrivals(width, 0.5, seed, s))
+                    == _hex(np.cumsum(row) / 0.5))
 
 
 class TestSampleArrivals:
@@ -244,6 +269,8 @@ class TestSampleArrivals:
             sample_arrivals(3, 0.0, 1)
         with pytest.raises(ValueError):
             sample_arrivals(3, math.nan, 1)
+        with pytest.raises(ValueError):
+            sample_arrivals(3, math.inf, 1)
 
 
 class TestMcMoment:
@@ -294,6 +321,10 @@ class TestMcMoment:
             mc_moment(1, 0, math.nan, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             mc_moment(1, 0, 1.0, math.nan, 10, seed=0)
+        with pytest.raises(ValueError):
+            mc_moment(1, 0, math.inf, 1.0, 10, seed=0)
+        with pytest.raises(ValueError):
+            mc_moment(1, 0, 1.0, math.inf, 10, seed=0)
 
 
 class TestBlockedEstimate:
@@ -430,8 +461,8 @@ def _row_sums(a):
 def _reference_distances(seed, k, r, b, lam):
     def sample(lo, hi):
         pairs = np.arange(lo, hi, dtype=np.uint64)
-        x = _row_sums(oracles.rate1_gaps(seed, 2 * pairs, k + r))
-        y = _row_sums(oracles.rate1_gaps(seed, 2 * pairs + 1, k))
+        x = _row_sums(_reference_gaps(seed, 2 * pairs, k + r))
+        y = _row_sums(_reference_gaps(seed, 2 * pairs + 1, k))
         return (np.abs(x - y) / lam) ** b
     return sample
 
@@ -439,9 +470,9 @@ def _reference_distances(seed, k, r, b, lam):
 def _reference_costs(seed, n, b, stream_offset):
     def sample(lo, hi):
         pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
-        x = oracles.rate1_gaps(seed, 2 * pairs, n)
+        x = _reference_gaps(seed, 2 * pairs, n)
         np.cumsum(x, axis=1, out=x)
-        y = oracles.rate1_gaps(seed, 2 * pairs + 1, n)
+        y = _reference_gaps(seed, 2 * pairs + 1, n)
         np.cumsum(y, axis=1, out=y)
         x -= y
         np.abs(x, out=x)
@@ -453,7 +484,8 @@ def _reference_costs(seed, n, b, stream_offset):
 
 class TestFusedSamplers:
     """Each sampler's rows and estimate against the same expressions on
-    whole rate1_gaps blocks, by float.hex, for any tile and thread count."""
+    whole blocks of _reference_gaps, which shares no code with prng, by
+    float.hex, for any tile and thread count."""
 
     def _check(self, sampler, width, rows, monkeypatch):
         from poisson_moments import matching_lab
