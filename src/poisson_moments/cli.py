@@ -20,8 +20,8 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import closed_forms, identities, matching_lab, oracles
 from .exact_arith import Rat
@@ -93,13 +93,11 @@ _COLUMNS = {
 }
 
 
-class _Outcome(NamedTuple):
-    """What one command computed; `main` builds the record from it."""
-
-    parameters: dict
-    results: dict
-    rows: tuple = ({},)  # each CSV row's cells beyond the record's
-    failure: str | None = None  # a failed identity suite's stderr line
+# What one command computed; `main` builds the record from it.  `rows` holds
+# each CSV row's cells beyond the record's, and `failure` a failed identity
+# suite's stderr line.
+_Outcome = namedtuple("_Outcome", "parameters results rows failure",
+                      defaults=(({},), None))
 
 
 def _emit(record: dict, rows, fmt: str) -> None:
@@ -150,9 +148,7 @@ def cmd_moment(args) -> _Outcome:
                 i, args.k, args.a, args.lam).value
             methods["lemma3"] = closed_forms.odd_moment_lemma3(
                 i, args.k, args.a, args.lam).value
-        if args.r == 0:
-            methods["diagonal"] = closed_forms.diagonal_moment(
-                args.k, args.a, args.lam).value
+        # moment() has already compared an r = 0 value with diagonal_moment.
         mismatches = {name: str(v) for name, v in methods.items() if v != value}
         if mismatches:
             raise closed_forms.CrossCheckError(mismatches)

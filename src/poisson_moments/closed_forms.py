@@ -12,7 +12,7 @@ shares no code with this module, is their independent guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate
 
 from .exact_arith import Rat, binomial, factorial, pochhammer
@@ -49,26 +49,19 @@ def _checked_rate(lam: Rat | int, odd: bool | None = None, **counts: int) -> Rat
     return lam
 
 
-@dataclass(frozen=True)
-class MomentQuery:
+class MomentQuery(namedtuple("MomentQuery", "k r a lam")):
     """Identifies one moment E|X_{k+r} - Y_k|^a at arrival rate lambda."""
 
-    k: int
-    r: int
-    a: int
-    lam: Rat = Rat(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _checked_rate(self.lam, k=self.k, a=self.a))
-        if self.r < 0:
-            raise ValueError(f"r must be >= 0, got {self.r}")
+    def __new__(cls, k: int, r: int, a: int, lam: Rat | int = 1) -> MomentQuery:
+        lam = _checked_rate(lam, k=k, a=a)
+        if r < 0:
+            raise ValueError(f"r must be >= 0, got {r}")
+        return super().__new__(cls, k, r, a, lam)
 
 
-@dataclass(frozen=True)
-class MomentValue:
-    """An exact moment."""
-
-    value: Rat
+MomentValue = namedtuple("MomentValue", "value")  # an exact moment
 
 
 def _terms(i: int, k: int, a: int) -> list[Rat]:

@@ -12,7 +12,6 @@ exp(-lambda t) are compared in Rat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .exact_arith import Rat, factorial, pochhammer
@@ -31,12 +30,16 @@ __all__ = [
 ]
 
 
-@dataclass
 class IdentityReport:
-    name: str
-    parameter_set: list = field(default_factory=list)
-    all_passed: bool = True
-    first_failure: tuple | None = None
+    """One suite's run: every case's parameters, and the first that failed."""
+
+    __slots__ = ("name", "parameter_set", "all_passed", "first_failure")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.parameter_set = []
+        self.all_passed = True
+        self.first_failure = None
 
     def record(self, params: tuple, ok: bool) -> None:
         self.parameter_set.append(params)

@@ -16,7 +16,7 @@ brute-force oracle do not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 
 from .closed_forms import sum_moments
@@ -37,21 +37,9 @@ __all__ = [
 _BRUTE_FORCE_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class MatchingRun:
-    """The per-policy costs of one sampled bicolored configuration."""
-
-    sorted_cost: float
-    optimal_cost: float
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    n_grid: list
-    mean_costs: list
-    slope: float
-    intercept: float
-    r_squared: float
+# The per-policy costs of one sampled bicolored configuration.
+MatchingRun = namedtuple("MatchingRun", "sorted_cost optimal_cost")
+ScalingFit = namedtuple("ScalingFit", "n_grid mean_costs slope intercept r_squared")
 
 
 def sorted_matching_cost(xs, ys, b: float) -> float:

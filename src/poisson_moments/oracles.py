@@ -33,12 +33,8 @@ from __future__ import annotations
 import contextlib
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "MCEstimate",
@@ -58,10 +54,8 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-@dataclass(frozen=True)
-class MCEstimate:
-    mean: float
-    stderr: float
+class MCEstimate(namedtuple("MCEstimate", "mean stderr")):
+    __slots__ = ()
 
     def zscore(self, exact: float) -> float:
         return (self.mean - exact) / self.stderr

@@ -52,11 +52,21 @@ class TestMoment:
 
     def test_even_cross_check_is_against_the_oracle(self, capsys):
         # An even moment is even_moment_general itself, so only the
-        # independent oracle can disagree with it; r > 0 has no diagonal.
+        # independent oracle can disagree with it.
         assert cli.main(["--format", "json", "moment", "--k", "3", "--r", "2",
                          "--a", "4", "--cross-check"]) == 0
         check = json.loads(capsys.readouterr().out)["results"]["cross_check"]
         assert check == {"methods": ["first_principles"], "agree": True}
+
+    def test_cross_check_leaves_the_diagonal_to_moment(self, capsys):
+        # closed_forms.moment compares every r = 0 value with
+        # diagonal_moment itself, so listing it again would compare the
+        # value with itself.
+        assert cli.main(["--format", "json", "moment", "--k", "2", "--a", "3",
+                         "--cross-check"]) == 0
+        check = json.loads(capsys.readouterr().out)["results"]["cross_check"]
+        assert check == {"methods": ["first_principles", "lemma2", "lemma3"],
+                         "agree": True}
 
     def test_rational_lambda(self):
         doc = json_out("moment", "--k", "3", "--a", "2", "--lambda", "2")
@@ -136,11 +146,17 @@ class TestDependencies:
     # Any import outside the standard library, the package and the modules
     # named in argv fails; only the sampling commands may load numpy, and
     # their blocks here are too small for a thread pool (concurrent.futures).
+    # The exact commands must not load dataclasses, typing or inspect (with
+    # what they pull in, about half of a cold import); numpy imports inspect
+    # itself.  Those run under -S, because site may load typing through a
+    # .pth file before the hook is in place, and the hook would not see it.
     _HOOK = textwrap.dedent("""
         import sys
 
-        allowed = ({*sys.stdlib_module_names} - {"concurrent"}
-                   | {"poisson_moments", *sys.argv[1].split()})
+        extra = sys.argv[1].split()
+        denied = set() if extra else {"dataclasses", "typing", "inspect"}
+        allowed = ({*sys.stdlib_module_names} - {"concurrent"} - denied
+                   | {"poisson_moments", *extra})
 
         class OnlyAllowed:
             def find_spec(self, name, path=None, target=None):
@@ -167,8 +183,12 @@ class TestDependencies:
                                "--trials", "5"], id="matching"),
     ])
     def test_imports(self, allowed, argv):
-        proc = subprocess.run([sys.executable, "-c", self._HOOK, allowed, *argv],
-                              capture_output=True, text=True, timeout=120)
+        # -S also drops site-packages from sys.path, so the package's own
+        # directory goes on PYTHONPATH.
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, *([] if allowed else ["-S"]),
+                               "-c", self._HOOK, allowed, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         results = json.loads(proc.stdout)["results"]
         if argv == ["verify"]:

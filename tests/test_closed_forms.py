@@ -71,6 +71,16 @@ class TestValidation:
                     dict(k=1, r=0, a=0), dict(k=1, r=0, a=1, lam=Fraction(-1))):
             with pytest.raises(ValueError):
                 MomentQuery(**bad)
+            with pytest.raises(ValueError):
+                MomentQuery(*bad.values())
+
+    def test_query_normalises_the_rate(self):
+        for q in (MomentQuery(2, 1, 3, 4), MomentQuery(k=2, r=1, a=3, lam=4)):
+            assert q == (2, 1, 3, Fraction(4))
+            assert type(q.lam) is Fraction
+        assert MomentQuery(1, 0, 2).lam == MomentQuery(1, 0, 2, Fraction(1)).lam == 1
+        # CrossCheckError messages print the query.
+        assert repr(MomentQuery(1, 0, 2)) == "MomentQuery(k=1, r=0, a=2, lam=Fraction(1, 1))"
 
     @pytest.mark.parametrize("lam", [0, -1, Fraction(-1, 2)], ids=str)
     def test_every_closed_form_rejects_a_rate_at_most_0(self, lam):

@@ -173,6 +173,8 @@ def test_run_suite_unknown_name():
 
 def test_report_records_first_failure():
     report = IdentityReport(name="demo")
+    assert (report.name, report.parameter_set, report.all_passed,
+            report.first_failure) == ("demo", [], True, None)
     report.record((1,), True)
     report.record((2,), False)
     report.record((3,), False)

@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import threading
 import tracemalloc
@@ -20,6 +21,7 @@ from poisson_moments.closed_forms import (
 )
 from poisson_moments.matching_lab import mc_sorted_cost, scaling_experiment
 from poisson_moments.oracles import (
+    MCEstimate,
     blocked_estimate,
     exact_moment_first_principles,
     mc_moment,
@@ -284,6 +286,12 @@ class TestMcMoment:
         e1 = mc_moment(2, 1, 1.5, 1.0, 50_000, seed=9)
         e2 = mc_moment(2, 1, 1.5, 1.0, 50_000, seed=9)
         assert e1 == e2
+
+    def test_estimate_is_a_mean_stderr_pair(self):
+        # A JSON encoder sees [mean, stderr], with no conversion.
+        est = mc_moment(2, 1, 1.5, 1.0, 1000, seed=9)
+        assert MCEstimate._fields == ("mean", "stderr")
+        assert json.dumps(est) == json.dumps([est.mean, est.stderr])
 
     def test_holder_bound_for_fractional_exponents(self):
         # E|X_k - Y_k|^b <= (E|X_k - Y_k|^ceil(b))^(b/ceil(b))
