@@ -60,6 +60,10 @@ class MomentQuery(namedtuple("MomentQuery", "k r a lam")):
             raise ValueError(f"r must be >= 0, got {r}")
         return super().__new__(cls, k, r, a, lam)
 
+    @classmethod
+    def _make(cls, iterable) -> MomentQuery:  # _replace calls it too
+        return cls(*iterable)
+
 
 MomentValue = namedtuple("MomentValue", "value")  # an exact moment
 

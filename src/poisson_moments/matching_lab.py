@@ -6,11 +6,11 @@ permutation oracle at small n, and fits the empirical cost-versus-n
 scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
 from rate-1 gaps, each distance divided by n before it is raised to b,
 and summed by `oracles.gap_sums` one cache-sized tile of `prng.tiles` at
-a time, with the arrival times carried across the tiles of a wide row;
-the per-trial costs are reduced by `oracles.blocked_estimate`, so memory
-stays bounded whatever n or trials is.  numpy is imported inside the
-functions that sample or fit, so the exact expected cost and the
-brute-force oracle do not load it.
+a time, with X_k - Y_k one running sum of the gap differences, carried
+across the tiles of a wide row; the per-trial costs are reduced by
+`oracles.blocked_estimate`, so memory stays bounded whatever n or trials
+is.  numpy is imported inside the functions that sample or fit, so the
+exact expected cost and the brute-force oracle do not load it.
 """
 
 from __future__ import annotations
@@ -95,23 +95,20 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
         raise ValueError("require n >= 1, 0 < b < inf")
 
     def costs(lo: int, hi: int) -> np.ndarray:
-        # Arrival times, then (|x - y| / n) ** b, in each tile of -gaps:
-        # the cumulative sums are minus the arrival times, and
-        # x - y = -(X - Y) exactly.  A row wider than a tile carries its
-        # cumulative sums into the next tile's first gaps, which keeps them
-        # sequential.  **= takes numpy's scalar-power fast paths as ** does,
-        # so b = 2 stays a square.
+        # (|X - Y| / n) ** b in each tile of -gaps: the running sum of the
+        # gap differences x - y is -(X - Y), and rounds at its own size,
+        # ~sqrt(k), not at the arrival times', ~k.  A wide row carries it
+        # into the next tile's first difference.  **= takes numpy's
+        # scalar-power fast paths as ** does, so b = 2 stays a square.
         carry = None
 
         def tail(x: np.ndarray, y: np.ndarray, c0: int) -> None:
             nonlocal carry
-            if c0:
-                x[:, 0] += carry[0]
-                y[:, 0] += carry[1]
-            np.cumsum(x, axis=1, out=x)
-            np.cumsum(y, axis=1, out=y)
-            carry = x[:, -1].copy(), y[:, -1].copy()
             x -= y
+            if c0:
+                x[:, 0] += carry
+            np.cumsum(x, axis=1, out=x)
+            carry = x[:, -1].copy()
             np.abs(x, out=x)
             x /= n
             x **= b

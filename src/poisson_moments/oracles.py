@@ -18,8 +18,8 @@ so only per-row results leave the tile.  Each block's rows are sampled as
 contiguous slices, one per CPU the process may run on (fewer for a small
 block), the first on the calling thread and the rest on a thread pool,
 and joined in row order.  Row i of every sampler is a pure function of
-its stream addresses (the PRNG is counter-based, and sums and cumulative
-sums run along the row), so the block, and with it every mean and
+its stream addresses (the PRNG is counter-based, and every sum and
+running sum runs along the row), so the block, and with it every mean and
 stderr, is bit-identical for any number of threads.  A row wider than a
 tile adds its tile sums in column order, so only there is the tile size
 part of the reduction order, as _BLOCK_ROWS is.
@@ -111,10 +111,9 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     from y, the same tile of the streams in streams[1].
 
     prng.tiles yields -U, so log1p turns each tile in place into minus the
-    gaps, exactly, and their sums and cumulative sums are exactly minus
-    those of the gaps.  Each tile is transformed and summed in cache before
-    the next is drawn; the tile sums of a row wider than a tile are added
-    in column order.
+    gaps, exactly, and any sum along a row is exactly minus the gaps' own.
+    Each tile is transformed and summed in cache before the next is drawn;
+    the tile sums of a row wider than a tile are added in column order.
     """
     import numpy as np
 
@@ -210,9 +209,8 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
 
     The arrivals are the cumulative sums of the stream's rate-1 gaps,
     divided by lam, so identical (seed, stream, n, lam) always reproduces
-    the identical sequence.  The row is read from the tiles of -U that
-    prng.tiles yields: their log1p are minus the gaps, and so the
-    cumulative sums are minus the arrivals until the exact division by -lam.
+    the identical sequence.  The row holds the log1p of prng.tiles' -U,
+    minus the gaps, whose cumulative sums are divided in place by -lam.
     """
     import numpy as np
 
@@ -225,7 +223,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
     row = np.empty(n)
     for r0, r1, c0, (u,) in tiles(seed, [[stream]], n):
         np.log1p(u[0], out=row[c0:c0 + u.shape[1]])
-    return np.cumsum(row, out=row) / -lam
+    return np.divide(np.cumsum(row, out=row), -lam, out=row)
 
 
 def mc_moment(k: int, r: int, b: float, lam: float,

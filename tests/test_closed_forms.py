@@ -73,12 +73,18 @@ class TestValidation:
                 MomentQuery(**bad)
             with pytest.raises(ValueError):
                 MomentQuery(*bad.values())
+            with pytest.raises(ValueError):
+                MomentQuery._make(bad.values())
+            with pytest.raises(ValueError):
+                MomentQuery(1, 0, 1)._replace(**bad)
 
     def test_query_normalises_the_rate(self):
         for q in (MomentQuery(2, 1, 3, 4), MomentQuery(k=2, r=1, a=3, lam=4)):
             assert q == (2, 1, 3, Fraction(4))
             assert type(q.lam) is Fraction
         assert MomentQuery(1, 0, 2).lam == MomentQuery(1, 0, 2, Fraction(1)).lam == 1
+        for q in (MomentQuery._make([2, 1, 3, 4]), MomentQuery(2, 1, 3)._replace(lam=4)):
+            assert q == (2, 1, 3, Fraction(4)) and type(q.lam) is Fraction
         # CrossCheckError messages print the query.
         assert repr(MomentQuery(1, 0, 2)) == "MomentQuery(k=1, r=0, a=2, lam=Fraction(1, 1))"
 

@@ -264,6 +264,18 @@ class TestSampleArrivals:
         stderr = x1.std(ddof=1) / math.sqrt(n)
         assert abs(x1.mean() - 0.5) < 4 * stderr
 
+    def test_peak_is_one_row(self):
+        # The row is read, summed and divided in place: besides it, only
+        # the tile walk's buffer (two tiles) and counters are allocated.
+        n = 1 << 20
+        tracemalloc.start()
+        try:
+            sample_arrivals(n, 3.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * 8, peak / (n * 8)
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             sample_arrivals(0, 1.0, 1)
@@ -479,10 +491,8 @@ def _reference_costs(seed, n, b, stream_offset):
     def sample(lo, hi):
         pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
         x = _reference_gaps(seed, 2 * pairs, n)
+        x -= _reference_gaps(seed, 2 * pairs + 1, n)
         np.cumsum(x, axis=1, out=x)
-        y = _reference_gaps(seed, 2 * pairs + 1, n)
-        np.cumsum(y, axis=1, out=y)
-        x -= y
         np.abs(x, out=x)
         x /= n
         x **= b
@@ -490,10 +500,37 @@ def _reference_costs(seed, n, b, stream_offset):
     return sample
 
 
+def _exact_costs(seed, n, rows):
+    """Each trial's b = 1 sorted cost, sum_k |X_k - Y_k| / n, summed in
+    exact arithmetic over the float gaps of _reference_gaps."""
+    pairs = np.arange(rows, dtype=np.uint64)
+    costs = []
+    for gx, gy in zip(_reference_gaps(seed, 2 * pairs, n),
+                      _reference_gaps(seed, 2 * pairs + 1, n)):
+        d = total = Fraction(0)
+        for x, y in zip(gx.tolist(), gy.tolist()):
+            d += Fraction(x) - Fraction(y)
+            total += abs(d)
+        costs.append(total / n)
+    return costs
+
+
 class TestFusedSamplers:
     """Each sampler's rows and estimate against the same expressions on
     whole blocks of _reference_gaps, which shares no code with prng, by
     float.hex, for any tile and thread count."""
+
+    @staticmethod
+    def _spy(module, monkeypatch):
+        """The sample functions that module hands to blocked_estimate."""
+        seen = []
+
+        def spy(sample, n, w):
+            seen.append(sample)
+            return blocked_estimate(sample, n, w)
+
+        monkeypatch.setattr(module, "blocked_estimate", spy)
+        return seen
 
     def _check(self, sampler, width, rows, monkeypatch):
         from poisson_moments import matching_lab
@@ -506,13 +543,7 @@ class TestFusedSamplers:
         else:
             module, reference = matching_lab, _reference_costs(5, width, 2.0, 3)
             run = lambda: mc_sorted_cost(width, 2.0, rows, 5, stream_offset=3)
-        seen = []
-
-        def spy(sample, n, w):
-            seen.append(sample)
-            return blocked_estimate(sample, n, w)
-
-        monkeypatch.setattr(module, "blocked_estimate", spy)
+        seen = self._spy(module, monkeypatch)
         want_rows = [x.hex() for x in reference(0, rows)]
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
@@ -539,12 +570,26 @@ class TestFusedSamplers:
         self._check(sampler, width, rows, monkeypatch)
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
+    def test_sorted_costs_are_near_the_exact_sum(self, tile, monkeypatch):
+        # b = 1 trial costs at n = 4096, relative to the exact cost of the
+        # same float gaps.  The bound separates one running sum of the gap
+        # differences (within 5e-15 here) from one running sum of gaps per
+        # process (1e-13 to 2.3e-13 off).  7-word tiles carry the running
+        # sum 585 times.
+        monkeypatch.setattr(prng, "_TILE", tile)
+        seen = self._spy(matching_lab, monkeypatch)
+        mc_sorted_cost(4096, 1.0, 8, 5)
+        got = seen[-1](0, 8).tolist()
+        want = [float(c) for c in _exact_costs(5, 4096, 8)]
+        assert got == pytest.approx(want, rel=2e-14, abs=0)
+
+    @pytest.mark.parametrize("tile", [7, prng._TILE])
     @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
     def test_rows_wider_than_a_block_sum_column_chunks(self, sampler, tile,
                                                        monkeypatch):
         # With 64-uniform blocks, each block holds 3 rows of 17 or 1 row of
         # 150.  With 7-word tiles, those rows add their tile sums in order
-        # and carry their cumulative sums from tile to tile; with full tiles
+        # and carry their running sums from tile to tile; with full tiles
         # each row is one tile.
         monkeypatch.setattr(prng, "_TILE", tile)
         monkeypatch.setattr(oracles, "_BLOCK_UNIFORMS", 64)
