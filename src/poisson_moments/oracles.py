@@ -105,13 +105,13 @@ def exact_moment_first_principles(i: int, k: int, a: int,
 
 
 def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
-    """Sum along each row of minus the rate-1 gaps, log1p(-U), of counters
+    """Sum along each row of minus the rate-1 gaps, log(V), of counters
     0..width-1 of the streams in streams[0]; given tail(x, y, c0), the sum
     of what tail leaves in x, a tile of those gaps that starts at column c0,
     from y, the same tile of the streams in streams[1].
 
-    prng.tiles yields -U, so log1p turns each tile in place into minus the
-    gaps, exactly, and any sum along a row is exactly minus the gaps' own.
+    prng.tiles yields V in (0, 1], so log turns each tile in place into
+    minus the gaps, all finite, and a row's sum is exactly minus theirs.
     Each tile is transformed and summed in cache before the next is drawn;
     the tile sums of a row wider than a tile are added in column order.
     """
@@ -122,7 +122,7 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     sums = np.empty(len(streams[0]))
     for r0, r1, c0, gs in tiles(seed, streams, width):
         for g in gs:
-            np.log1p(g, out=g)
+            np.log(g, out=g)
         if tail is not None:
             tail(*gs, c0)
         if c0:
@@ -209,7 +209,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
 
     The arrivals are the cumulative sums of the stream's rate-1 gaps,
     divided by lam, so identical (seed, stream, n, lam) always reproduces
-    the identical sequence.  The row holds the log1p of prng.tiles' -U,
+    the identical sequence.  The row holds the log of prng.tiles' V,
     minus the gaps, whose cumulative sums are divided in place by -lam.
     """
     import numpy as np
@@ -222,7 +222,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     row = np.empty(n)
     for r0, r1, c0, (u,) in tiles(seed, [[stream]], n):
-        np.log1p(u[0], out=row[c0:c0 + u.shape[1]])
+        np.log(u[0], out=row[c0:c0 + u.shape[1]])
     return np.divide(np.cumsum(row, out=row), -lam, out=row)
 
 

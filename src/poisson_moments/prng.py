@@ -1,16 +1,17 @@
 """Counter-based uniform random numbers with (seed, stream, counter)
 addressing.
 
-Each value is a pure hash of its address, so sampling is reproducible
-bit-for-bit regardless of platform or block layout: a row of
-`uniform_block` does not depend on the other streams drawn with it, and
-a column prefix equals the shorter block.  The mixer is the splitmix64
-finalizer applied to a Weyl sequence, evaluated vectorized in numpy.
-`tiles` hashes and converts a draw one tile at a time, whole rows or a
-piece of one row, in place with one tile of scratch; tiles of `_TILE`
-words stay in cache.  It always yields minus the uniforms, -U, which is
-exact.  `uniform_block` flips each tile's sign back into one block, and
-the Monte Carlo samplers turn each tile into gaps before the next is drawn.
+Each uniform is a pure hash of its address, made by integer hashing and
+exact float steps, so it is bit-for-bit the same on every platform and in
+every block layout: a row of `uniform_block` does not depend on the other
+streams drawn with it, and a column prefix equals the shorter block.  (The
+samplers' gaps go through numpy's `log`, whose last bits may differ
+between its SIMD kernels.)  The mixer is the splitmix64 finalizer applied
+to a Weyl sequence, evaluated vectorized in numpy.  `tiles` hashes and
+converts a draw one tile at a time, whole rows or a piece of one row, in
+place with one tile of scratch; tiles of `_TILE` words stay in cache.  It
+yields V = 1 - U in (0, 1], on the 2^-52 grid, whose log is minus a finite
+gap; `uniform_block` copies the tiles into one block.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
-_INV_2_53 = float(2.0 ** -53)
+_ONE = np.uint64(0x3FF0000000000000)   # the exponent bits of 1.0
 # Words hashed and converted per tile: a 512 KiB tile and its scratch stay
 # in cache.  It changes no uniform, nor the sum of a row no wider than it.
 _TILE = 1 << 16
@@ -51,22 +52,20 @@ def stream_keys(seed: int, streams) -> np.ndarray:
     return _finalize(keys, np.empty_like(keys))
 
 
-def _to_uniform(words: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """-U = (m + 0.5) * -2^-53 for the top 53 bits m of each word, written
-    over the words: U lies strictly in (0, 1), m is exact in float64, and
-    so is the scaling.  The float passes through the scratch t (of the
-    words' shape), because numpy copies the input of a cast whose output
-    overlaps it."""
-    np.right_shift(words, np.uint64(11), out=words)
-    u = t.view(np.float64)
-    np.add(words, 0.5, out=u)
-    return np.multiply(u, -_INV_2_53, out=words.view(np.float64))
+def _to_uniform(words: np.ndarray) -> np.ndarray:
+    """V = 2 - f, written over the words, where f in [1, 2) is the float
+    with the exponent of 1.0 and the top 52 bits of each word as its
+    mantissa: V lies in (0, 1] on the 2^-52 grid, and both steps are exact
+    (the subtraction by Sterbenz's lemma)."""
+    np.right_shift(words, np.uint64(12), out=words)
+    f = np.bitwise_or(words, _ONE, out=words).view(np.float64)
+    return np.subtract(2.0, f, out=f)
 
 
 def tiles(seed: int, streams: list, width: int):
-    """Walk minus the uniforms, -U, of counters 0..width-1 of each array of
+    """Walk the uniforms V in (0, 1] of counters 0..width-1 of each array of
     streams in streams, one tile at a time: yield (r0, r1, c0, tiles),
-    where tiles holds, per array, the (r1 - r0, m) values -U of its streams
+    where tiles holds, per array, the (r1 - r0, m) values V of its streams
     r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows, _TILE // width
     of them (read at call time), or _TILE columns of a wider row; the walk
     goes down the rows, and along each row's column tiles in order.  Each
@@ -95,13 +94,14 @@ def tiles(seed: int, streams: list, width: int):
                 words = b[:(r1 - r0) * m].reshape(r1 - r0, m)
                 np.add(k[:, None], counters[:m], out=words)
                 s = t[:words.size].reshape(words.shape)
-                out.append(_to_uniform(_finalize(words, s), s))
+                out.append(_to_uniform(_finalize(words, s)))
             yield r0, r1, c0, out
 
 
 def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
-    """Uniforms for counters 0..n-1 of many streams; shape (len(streams), n)."""
+    """The uniforms V in (0, 1] that tiles yields for counters 0..n-1 of
+    many streams, as one block of shape (len(streams), n)."""
     out = np.empty((len(streams), n))
     for r0, r1, c0, (u,) in tiles(seed, [streams], n):
-        np.negative(u, out=out[r0:r1, c0:c0 + u.shape[1]])
+        out[r0:r1, c0:c0 + u.shape[1]] = u
     return out

@@ -39,11 +39,12 @@ def _hex(a):
 
 
 def _reference_uniforms(words):
-    return ((words >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53
+    # V = (2^52 - m) * 2^-52 for the top 52 bits m of each word: exact.
+    return (np.uint64(1 << 52) - (words >> np.uint64(12))).astype(float) * 2.0 ** -52
 
 
 def _reference_gaps(seed, streams, n):
-    """Exp(1) gaps -log(1-U) of counters 0..n-1 of each stream, as one
+    """Exp(1) gaps -log(V) of counters 0..n-1 of each stream, as one
     (len(streams), n) block: splitmix64 in plain numpy over whole rows,
     sharing no code with prng."""
     def mix(z):
@@ -57,7 +58,7 @@ def _reference_gaps(seed, streams, n):
                ^ seed_hash)
     words = mix(keys[:, None]
                 + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
-    return -np.log1p(-_reference_uniforms(words))
+    return -np.log(_reference_uniforms(words))
 
 
 class TestFirstPrinciplesOracle:
@@ -168,8 +169,11 @@ def test_the_samplers_only_consume_the_tile_walk(module):
 class TestPrng:
     def test_open_interval_and_determinism(self):
         u = uniform_block(1, [2], 10_000)
-        assert np.all(u > 0) and np.all(u < 1)
+        assert np.all(u > 0) and np.all(u <= 1)
         assert np.array_equal(u, uniform_block(1, [2], 10_000))
+        # The ends of (0, 1], at the words 0 and 2^64 - 1.
+        assert uniform_block(self._seed_for(0), [0], 1)[0, 0] == 1.0
+        assert uniform_block(self._seed_for(_MASK64), [0], 1)[0, 0] == 2.0 ** -52
 
     def test_block_rows_match_streams(self):
         # A row does not depend on the other streams drawn with it, so any
@@ -191,9 +195,9 @@ class TestPrng:
         assert abs(u.mean() - 0.5) < 4 * u.std() / math.sqrt(u.size)
 
     @pytest.mark.parametrize("seed, stream, counter, value", [
-        (0, 0, 0, "0x1.c4415072f63bap-1"),
-        (7, 3, 4, "0x1.3f9f3ad9257b9p-2"),
-        (2 ** 40 + 5, 123456, 999, "0x1.739527c6eef38p-1"),
+        (0, 0, 0, "0x1.ddf57c684e240p-4"),
+        (7, 3, 4, "0x1.603062936d424p-1"),
+        (2 ** 40 + 5, 123456, 999, "0x1.18d5b07222194p-2"),
     ])
     def test_pinned_values(self, seed, stream, counter, value):
         # The stream contract: every Monte Carlo output depends on these.
@@ -205,25 +209,64 @@ class TestPrng:
         z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
         return z ^ (z >> 31)
 
+    @staticmethod
+    def _unmix(z):
+        # The inverse of _splitmix64: each xorshift and each odd multiplier
+        # is a bijection of 64-bit words.
+        def unshift(z, s):
+            x = z
+            for _ in range(64 // s):
+                x = z ^ (x >> s)
+            return x
+
+        z = unshift(z, 31) * pow(0x94D049BB133111EB, -1, 1 << 64) & _MASK64
+        z = unshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & _MASK64
+        return unshift(z, 30)
+
+    @classmethod
+    def _seed_for(cls, word):
+        """The seed whose stream 0 hashes to word at counter 0: that
+        stream's key is the hash of the seed's hash, and its first Weyl
+        word is key + golden."""
+        key = cls._unmix(word) - _GOLDEN & _MASK64
+        seed = cls._unmix(cls._unmix(key))
+        assert cls._splitmix64(cls._splitmix64(cls._splitmix64(seed))
+                               + _GOLDEN & _MASK64) == word
+        return seed
+
+    @pytest.mark.parametrize("word, gap", [(0, 0.0), (_MASK64, 52 * math.log(2))])
+    def test_edge_words_give_finite_gaps(self, word, gap):
+        # V = 1 at the zero word and 2^-52 at the all-ones word, so every
+        # gap is finite: exactly 0, and -log(2^-52) = 36.04 at the most.
+        seed = self._seed_for(word)
+        ((_, _, _, (v,)),) = prng.tiles(seed, [[0]], 1)
+        assert v[0, 0] == (2.0 ** -52 if word else 1.0)
+        for got in (-oracles.gap_sums(seed, [[0]], 1)[0],
+                    sample_arrivals(1, 1.0, seed, 0)[0]):
+            assert math.isfinite(got) and got == pytest.approx(gap, rel=1e-15)
+            assert got == 0.0 or word
+
     def test_float_conversion_matches_the_reference(self):
-        # The float written over each word is minus the reference
-        # expression, bit for bit, at the edges of its top 53 bits m (from
-        # 2^52 on, m + 0.5 rounds), under random low bits, and at random words.
+        # The float written over each word is the reference expression,
+        # bit for bit, at both ends and the middle of its top 52 bits,
+        # under random low bits, at the words 0 and 2^64 - 1, and at random
+        # words.
         rng = np.random.default_rng(5)
-        edges = np.array([0, 2 ** 52 - 1, 2 ** 52, 2 ** 53 - 1], dtype=np.uint64)
-        low = rng.integers(0, 1 << 11, size=(4, 3), dtype=np.uint64)
-        words = np.concatenate([((edges[:, None] << np.uint64(11)) | low).ravel(),
+        edges = np.array([0, 1, 2 ** 51 - 1, 2 ** 51, 2 ** 52 - 2, 2 ** 52 - 1],
+                         dtype=np.uint64)
+        low = rng.integers(0, 1 << 12, size=(6, 3), dtype=np.uint64)
+        words = np.concatenate([((edges[:, None] << np.uint64(12)) | low).ravel(),
                                 np.array([0, _MASK64], dtype=np.uint64),
                                 rng.integers(0, _MASK64, 10_000, np.uint64,
                                              endpoint=True)])
-        got = -prng._to_uniform(words.copy(), np.empty_like(words))
+        got = prng._to_uniform(words.copy())
         assert _hex(got) == _hex(_reference_uniforms(words))
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
     @pytest.mark.parametrize("width", [1, 17, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 5, 2 ** 64 - 1])
     def test_kernel_matches_the_reference(self, seed, width, tile, monkeypatch):
-        # uniform_block, and the gaps -log1p(-u) through gap_sums' row sums
+        # uniform_block, and the gaps -log(v) through gap_sums' row sums
         # and sample_arrivals' cumulative sums, against splitmix64 on Python
         # integers and the reference float expression, by float.hex; a
         # 7-word tile splits rows and leaves a short last tile.
@@ -237,7 +280,7 @@ class TestPrng:
              for c in range(1, width + 1)]
             for s in streams], dtype=np.uint64)
         u = _reference_uniforms(words)
-        gaps = -np.log1p(-u)
+        gaps = -np.log(u)
         assert _hex(uniform_block(seed, streams, width)) == _hex(u)
         assert (_hex(-oracles.gap_sums(seed, [streams], width))
                 == _hex(_row_sums(gaps)))
@@ -260,7 +303,7 @@ class TestSampleArrivals:
     def test_first_arrival_mean(self):
         # E X_1 = 1/lambda, averaged across many streams of one seed
         n = 200_000
-        x1 = -np.log1p(-uniform_block(123, np.arange(n), 1)[:, 0]) / 2.0
+        x1 = -np.log(uniform_block(123, np.arange(n), 1)[:, 0]) / 2.0
         stderr = x1.std(ddof=1) / math.sqrt(n)
         assert abs(x1.mean() - 0.5) < 4 * stderr
 
