@@ -245,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair = argparse.ArgumentParser(add_help=False)  # X_{k+r} and Y_k
     pair.add_argument("--k", type=int, required=True)
     pair.add_argument("--r", type=int, default=0)
+    b = argparse.ArgumentParser(add_help=False)  # the exponent of |X - Y|
+    b.add_argument("--b", type=_exponent, required=True)
 
     p = sub.add_parser("moment", parents=[lam, pair],
                        help="exact moment E|X_{k+r} - Y_k|^a")
@@ -266,15 +268,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(bound, type=_positive_int)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[lam, seed, pair],
+    p = sub.add_parser("simulate", parents=[lam, seed, pair, b],
                        help="Monte Carlo moment estimate")
-    p.add_argument("--b", type=_exponent, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("matching", parents=[seed],
+    p = sub.add_parser("matching", parents=[seed, b],
                        help="matching-cost scaling experiment")
-    p.add_argument("--b", type=_exponent, required=True)
     p.add_argument("--n-min", type=_positive_int, default=8)
     p.add_argument("--n-max", type=_positive_int, default=4096)
     p.add_argument("--grid-factor", default=2,

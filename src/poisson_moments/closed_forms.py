@@ -12,6 +12,7 @@ shares no code with this module, is their independent guard.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from itertools import accumulate
 
@@ -114,17 +115,16 @@ def odd_moment_lemma3(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentValue
     # The lemma's prefactor sum runs over l = k..i+a-1 and does not hold
     # for k > i + a; the moment is symmetric in i and k, so take i >= k.
     i, k = max(i, k), min(i, k)
-    terms = _terms(i, k, a)
-    prefactor = Rat(0)
-    for l in range(k, i + a):
-        prefactor += binomial(l + k - 1, l) / Rat(2) ** (l + k - 1)
-    first = -prefactor * sum(terms)
-
+    terms = [term.numerator for term in _terms(i, k, a)]  # integers
+    # Both sums are integers over 2^e: the prefactor's terms
+    # C(l+k-1, l)/2^(l+k-1), l = k..i+a-1, and the prefix sums below.
+    e = i + k + a - 2
+    prefactor = sum(math.comb(l + k - 1, l) << (i + a - 1 - l)
+                    for l in range(k, i + a))
     # The inner sum over j <= l is a prefix sum of the terms.
-    second = sum(inner * binomial(i + k + a - 1, i + l)
+    second = sum(inner * math.comb(i + k + a - 1, i + l)
                  for l, inner in enumerate(accumulate(terms[:a])))
-    second /= Rat(2) ** (i + k - 2 + a)
-    return MomentValue((first + second) / lam ** a)
+    return MomentValue(Rat(second - prefactor * sum(terms), 2 ** e) / lam ** a)
 
 
 def odd_moment_theorem4(k: int, r: int, a: int, lam: Rat | int = 1) -> MomentValue:

@@ -12,6 +12,7 @@ exp(-lambda t) are compared in Rat.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import accumulate
 
 from .exact_arith import Rat, factorial, pochhammer
@@ -30,22 +31,9 @@ __all__ = [
 ]
 
 
-class IdentityReport:
-    """One suite's run: every case's parameters, and the first that failed."""
-
-    __slots__ = ("name", "parameter_set", "all_passed", "first_failure")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.parameter_set = []
-        self.all_passed = True
-        self.first_failure = None
-
-    def record(self, params: tuple, ok: bool) -> None:
-        self.parameter_set.append(params)
-        if not ok and self.first_failure is None:
-            self.all_passed = False
-            self.first_failure = params
+# One suite's run: every case's parameters, and the first that failed.
+IdentityReport = namedtuple("IdentityReport",
+                            "name parameter_set all_passed first_failure")
 
 
 def telescoping_lhs(n: int, a: int) -> Rat:
@@ -147,38 +135,38 @@ def _bound(value: int | None, default: int) -> int:
 
 def run_suite(name: str, max_a: int | None = None,
               max_k: int | None = None, max_n: int | None = None) -> IdentityReport:
-    """Run one checker over its grid (spec-sized by default); ValueError if empty."""
-    report = IdentityReport(name=name)
+    """Run one checker over its grid (spec-sized by default) up to its first
+    failing case; ValueError if the grid is empty."""
     if name == "telescoping":
-        for n in range(1, _bound(max_n, 50) + 1):
-            for a in range(1, _bound(max_a, 12) + 1):
-                report.record((n, a), check_telescoping_sum(n, a))
+        check = check_telescoping_sum
+        grid = [(n, a) for n in range(1, _bound(max_n, 50) + 1)
+                for a in range(1, _bound(max_a, 12) + 1)]
     elif name == "binomial":
-        for a in range(0, _bound(max_a, 20) + 1):
-            for k in range(1, _bound(max_k, 12) + 1):
-                report.record((a, k), check_alternating_binomial(a, k))
+        check = check_alternating_binomial
+        grid = [(a, k) for a in range(0, _bound(max_a, 20) + 1)
+                for k in range(1, _bound(max_k, 12) + 1)]
     elif name == "dpoly":
-        for a in range(1, _bound(max_a, 11) + 1, 2):
-            for k in range(1, _bound(max_k, 20) + 1):
-                report.record((k, a), d_polynomial_identity(k, a))
+        check = d_polynomial_identity
+        grid = [(k, a) for a in range(1, _bound(max_a, 11) + 1, 2)
+                for k in range(1, _bound(max_k, 20) + 1)]
     elif name == "gould":
-        for a in range(1, _bound(max_a, 25) + 1):
-            for b in range((a - 1) // 2 + 1):
-                report.record((a, b), gould_identity(a, b))
+        check = gould_identity
+        grid = [(a, b) for a in range(1, _bound(max_a, 25) + 1)
+                for b in range((a - 1) // 2 + 1)]
     elif name == "geometric":
-        for m in range(_bound(max_n, 40) + 1):
-            report.record((m,), check_partial_geometric(m))
+        check = check_partial_geometric
+        grid = [(m,) for m in range(_bound(max_n, 40) + 1)]
     elif name == "gamma-incomplete":
+        check = check_incomplete_gamma
         grid = [(1, Rat(1), Rat(700)), (1, Rat(1), Rat(1)),
                 (2, Rat(1), Rat(1)), (3, Rat(2), Rat(1, 2)),
                 (4, Rat(1, 2), Rat(3)), (6, Rat(3), Rat(2))]
-        for m, lam, x in grid:
-            report.record((m, lam, x), check_incomplete_gamma(m, lam, x))
     else:
         raise ValueError(f"unknown identity suite: {name}")
-    if not report.parameter_set:
+    if not grid:
         raise ValueError(f"the bounds leave identity suite {name} no case")
-    return report
+    first_failure = next((params for params in grid if not check(*params)), None)
+    return IdentityReport(name, grid, first_failure is None, first_failure)
 
 
 SUITES = ("telescoping", "binomial", "dpoly", "gould", "geometric",

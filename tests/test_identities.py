@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from poisson_moments import identities
 from poisson_moments.closed_forms import sum_moments
 from poisson_moments.exact_arith import factorial
 from poisson_moments.identities import (
@@ -171,12 +172,8 @@ def test_run_suite_unknown_name():
         run_suite("nope")
 
 
-def test_report_records_first_failure():
-    report = IdentityReport(name="demo")
-    assert (report.name, report.parameter_set, report.all_passed,
-            report.first_failure) == ("demo", [], True, None)
-    report.record((1,), True)
-    report.record((2,), False)
-    report.record((3,), False)
-    assert not report.all_passed
-    assert report.first_failure == (2,)
+def test_report_records_first_failure(monkeypatch):
+    monkeypatch.setattr(identities, "check_partial_geometric",
+                        lambda m: m not in (2, 3))
+    assert run_suite("geometric", max_n=5) == (
+        "geometric", [(m,) for m in range(6)], False, (2,))
