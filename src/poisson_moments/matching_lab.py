@@ -108,7 +108,8 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
             if c0:
                 x[:, 0] += carry
             np.cumsum(x, axis=1, out=x)
-            carry = x[:, -1].copy()
+            if c0 + x.shape[1] < n:      # the next tile continues these rows
+                carry = x[:, -1].copy()
             np.abs(x, out=x)
             x /= n
             x **= b

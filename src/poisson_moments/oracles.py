@@ -20,9 +20,11 @@ block), the first on the calling thread and the rest on a thread pool,
 and joined in row order.  Row i of every sampler is a pure function of
 its stream addresses (the PRNG is counter-based, and every sum and
 running sum runs along the row), so the block, and with it every mean and
-stderr, is bit-identical for any number of threads.  A row wider than a
-tile adds its tile sums in column order, so only there is the tile size
-part of the reduction order, as _BLOCK_ROWS is.
+stderr, is bit-identical for any number of threads.  A row of a
+counter-major tile (at most 128 words) is summed in counter order, a wider
+one by numpy's pairwise sum.  A row wider than a tile adds its tile sums in
+column order, so only there is the tile size part of the reduction order,
+as _BLOCK_ROWS is.
 numpy is imported inside the functions that draw or reduce samples, and
 the thread pool only for blocks of several slices, so the exact oracle
 (and every caller that never samples) loads neither.
@@ -113,7 +115,9 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     prng.tiles yields V in (0, 1], so log turns each tile in place into
     minus the gaps, all finite, and a row's sum is exactly minus theirs.
     Each tile is transformed and summed in cache before the next is drawn;
-    the tile sums of a row wider than a tile are added in column order.
+    a row of a counter-major tile is summed in counter order, even alone in
+    its tile, and the tile sums of a row wider than a tile are added in
+    column order.
     """
     import numpy as np
 
@@ -125,10 +129,16 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
             np.log(g, out=g)
         if tail is not None:
             tail(*gs, c0)
+        g = gs[0]
         if c0:
-            sums[r0:r1] += np.sum(gs[0], axis=1)
+            sums[r0:r1] += np.sum(g, axis=1)
+        elif len(g) == 1 and g.strides[0] == g.itemsize:
+            # A lone row of a counter-major tile (its rows lie one value
+            # apart), which np.sum would add pairwise: its last running sum
+            # adds it in counter order.
+            sums[r0] = np.cumsum(g[0])[-1]
         else:
-            np.sum(gs[0], axis=1, out=sums[r0:r1])
+            np.sum(g, axis=1, out=sums[r0:r1])
     return sums
 
 

@@ -9,9 +9,10 @@ samplers' gaps go through numpy's `log`, whose last bits may differ
 between its SIMD kernels.)  The mixer is the splitmix64 finalizer applied
 to a Weyl sequence, evaluated vectorized in numpy.  `tiles` hashes and
 converts a draw one tile at a time, whole rows or a piece of one row, in
-place with one tile of scratch; tiles of `_TILE` words stay in cache.  It
-yields V = 1 - U in (0, 1], on the 2^-52 grid, whose log is minus a finite
-gap; `uniform_block` copies the tiles into one block.
+place with one tile of scratch; tiles of `_TILE` words stay in cache, and a
+tile of rows no wider than `_TILE // _MAJOR_ROWS` words is stored
+counter-major.  It yields V = 1 - U in (0, 1], on the 2^-52 grid, whose log
+is minus a finite gap; `uniform_block` copies the tiles into one block.
 """
 
 from __future__ import annotations
@@ -27,8 +28,15 @@ _MUL2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD1B54A32D192ED03)
 _ONE = np.uint64(0x3FF0000000000000)   # the exponent bits of 1.0
 # Words hashed and converted per tile: a 512 KiB tile and its scratch stay
-# in cache.  It changes no uniform, nor the sum of a row no wider than it.
+# in cache.  It changes no uniform; it is part of the reduction order of a
+# row wider than it, and of which rows are summed in counter order.
 _TILE = 1 << 16
+# A tile of at least this many rows, so of rows no wider than
+# _TILE // _MAJOR_ROWS = 128 words, is stored counter-major.  numpy then
+# runs the Weyl add, a row sum and a running sum as one loop across the
+# rows per counter, and releases the GIL in a 2-D running sum from about
+# 500 rows.
+_MAJOR_ROWS = 512
 
 
 def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -68,12 +76,15 @@ def tiles(seed: int, streams: list, width: int):
     where tiles holds, per array, the (r1 - r0, m) values V of its streams
     r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows, _TILE // width
     of them (read at call time), or _TILE columns of a wider row; the walk
-    goes down the rows, and along each row's column tiles in order.  Each
-    tile is overwritten by the next."""
+    goes down the rows, and along each row's column tiles in order.  A tile
+    of at least _MAJOR_ROWS rows is stored counter-major, each counter's
+    values for all its rows together, and yielded as the same (rows, m)
+    view, transposed.  Each tile is overwritten by the next."""
     keys = [stream_keys(seed, s) for s in streams]
     rows = len(keys[0])
     cols = min(width, _TILE) or 1        # columns per tile
     step = _TILE // cols                 # rows per tile
+    major = step >= _MAJOR_ROWS          # counter-major tiles
     counters = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN  # Weyl steps
     # One allocation holds the scratch and a tile of each array.  Freed
     # whole, it raises glibc's dynamic mmap and trim thresholds past a
@@ -91,10 +102,12 @@ def tiles(seed: int, streams: list, width: int):
                 k = k[r0:r1]
                 if c0:
                     k = k + np.uint64(c0 * int(_GOLDEN) & _MASK)
-                words = b[:(r1 - r0) * m].reshape(r1 - r0, m)
-                np.add(k[:, None], counters[:m], out=words)
-                s = t[:words.size].reshape(words.shape)
-                out.append(_to_uniform(_finalize(words, s)))
+                words = b[:(r1 - r0) * m]
+                tile = (words.reshape(m, r1 - r0).T if major
+                        else words.reshape(r1 - r0, m))
+                np.add(k[:, None], counters[:m], out=tile)
+                _to_uniform(_finalize(words, t[:words.size]))
+                out.append(tile.view(np.float64))
             yield r0, r1, c0, out
 
 

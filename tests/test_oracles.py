@@ -263,13 +263,14 @@ class TestPrng:
         assert _hex(got) == _hex(_reference_uniforms(words))
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
-    @pytest.mark.parametrize("width", [1, 17, 1000])
+    @pytest.mark.parametrize("width", [1, 17, 128, 129, 1000])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 40 + 5, 2 ** 64 - 1])
     def test_kernel_matches_the_reference(self, seed, width, tile, monkeypatch):
         # uniform_block, and the gaps -log(v) through gap_sums' row sums
         # and sample_arrivals' cumulative sums, against splitmix64 on Python
         # integers and the reference float expression, by float.hex; a
-        # 7-word tile splits rows and leaves a short last tile.
+        # 7-word tile splits rows and leaves a short last tile.  Full tiles
+        # of rows up to 128 words are counter-major, of 129 or more not.
         monkeypatch.setattr(prng, "_TILE", tile)
         streams = [0, 1, 12345]
         seed_hash = self._splitmix64(seed & _MASK64)
@@ -287,6 +288,22 @@ class TestPrng:
         for s, row in zip(streams, gaps):
             assert (_hex(sample_arrivals(width, 0.5, seed, s))
                     == _hex(np.cumsum(row) / 0.5))
+
+
+@pytest.mark.parametrize("width", [8, 17, 100, 128])
+def test_gap_sums_do_not_depend_on_the_split(width):
+    # Rows up to 128 words are drawn in counter-major tiles of _TILE // width
+    # rows and summed in counter order, a row alone in its tile too.  Each
+    # split leaves one-row tiles or walks.
+    step = prng._TILE // width
+    n = 2 * step + 2
+    streams = np.arange(n, dtype=np.uint64)
+    whole = _hex(oracles.gap_sums(3, [streams], width))
+    assert whole == _hex(-_row_sums(_reference_gaps(3, streams, width)))
+    for cuts in ([0, 1, n], [0, step + 1, n], [0, step + 2, n - 1, n]):
+        parts = [oracles.gap_sums(3, [streams[lo:hi]], width)
+                 for lo, hi in zip(cuts, cuts[1:])]
+        assert _hex(np.concatenate(parts)) == whole, cuts
 
 
 class TestSampleArrivals:
@@ -492,6 +509,11 @@ class TestBlockedEstimate:
         # width 2: blocks at the 2^16-row cap, then a 5-row block
         "row-cap": lambda: mc_moment(1, 1, 2.5, 0.5, 3 * (1 << 16) + 5, 8),
         "fewer-rows-than-workers": lambda: mc_moment(2, 1, 1.5, 1.0, 2, 6),
+        # width 100, 655 rows per tile: slices of 656 rows (2 workers) end
+        # in a one-row tile.  At these seeds a lone row summed pairwise, not
+        # in counter order, changes the estimate's last bits.
+        "one-row-tiles": lambda: mc_moment(100, 0, 1.5, 1.0, 1312, 11),
+        "sorted-cost-one-row-tiles": lambda: mc_sorted_cost(100, 1.5, 1312, 33),
         "sorted-cost": lambda: mc_sorted_cost(100, 1.5, 5000, 4),
         "scaling": lambda: scaling_experiment(1.0, [8, 16, 32], 300, 2),
     }
@@ -512,9 +534,16 @@ class TestBlockedEstimate:
 
 
 def _row_sums(a):
-    # np.sum along the rows, over column tiles of prng._TILE added in order:
-    # np.sum(a, axis=1) itself for a row no wider than a tile.
+    # A row no wider than prng._TILE // 512 words (a counter-major tile) is
+    # summed in counter order.  A wider row is summed by np.sum along the
+    # row, over column tiles of prng._TILE added in order: np.sum(a, axis=1)
+    # itself for a row no wider than a tile.
     tile = prng._TILE
+    if a.shape[1] <= tile // 512:
+        sums = a[:, 0].copy()
+        for column in a.T[1:]:
+            sums += column
+        return sums
     sums = np.sum(a[:, :tile], axis=1)
     for c0 in range(tile, a.shape[1], tile):
         sums += np.sum(a[:, c0:c0 + tile], axis=1)
@@ -598,9 +627,11 @@ class TestFusedSamplers:
 
     @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
     @pytest.mark.parametrize("width, rows", [
-        (1, 70_000), (17, 70_000), (1000, 5000), (70_001, 3)])
+        (1, 70_000), (17, 70_000), (128, 33_000), (129, 33_000),
+        (1000, 5000), (70_001, 3)])
     def test_matches_whole_blocks(self, sampler, width, rows, monkeypatch):
-        # Two blocks (one at width 70,001, a row wider than a tile).
+        # Two blocks (one at width 70,001, a row wider than a tile).  Rows
+        # of 128 words are the widest in counter-major tiles.
         self._check(sampler, width, rows, monkeypatch)
 
     @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
