@@ -108,8 +108,7 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
             if c0:
                 x[:, 0] += carry
             np.cumsum(x, axis=1, out=x)
-            if c0 + x.shape[1] < n:      # the next tile continues these rows
-                carry = x[:, -1].copy()
+            carry = x[:, -1].copy()
             np.abs(x, out=x)
             x /= n
             x **= b

@@ -124,7 +124,7 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
     from .prng import tiles
 
     sums = np.empty(len(streams[0]))
-    for r0, r1, c0, gs in tiles(seed, streams, width):
+    for r0, r1, c0, major, gs in tiles(seed, streams, width):
         for g in gs:
             np.log(g, out=g)
         if tail is not None:
@@ -132,10 +132,10 @@ def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
         g = gs[0]
         if c0:
             sums[r0:r1] += np.sum(g, axis=1)
-        elif len(g) == 1 and g.strides[0] == g.itemsize:
-            # A lone row of a counter-major tile (its rows lie one value
-            # apart), which np.sum would add pairwise: its last running sum
-            # adds it in counter order.
+        elif major and len(g) == 1:
+            # np.sum would add a lone row of a counter-major tile pairwise,
+            # as one contiguous row: its last running sum adds it in
+            # counter order.
             sums[r0] = np.cumsum(g[0])[-1]
         else:
             np.sum(g, axis=1, out=sums[r0:r1])
@@ -231,7 +231,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
     row = np.empty(n)
-    for r0, r1, c0, (u,) in tiles(seed, [[stream]], n):
+    for r0, r1, c0, _, (u,) in tiles(seed, [[stream]], n):
         np.log(u[0], out=row[c0:c0 + u.shape[1]])
     return np.divide(np.cumsum(row, out=row), -lam, out=row)
 

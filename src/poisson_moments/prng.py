@@ -72,14 +72,15 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
 
 def tiles(seed: int, streams: list, width: int):
     """Walk the uniforms V in (0, 1] of counters 0..width-1 of each array of
-    streams in streams, one tile at a time: yield (r0, r1, c0, tiles),
-    where tiles holds, per array, the (r1 - r0, m) values V of its streams
-    r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows, _TILE // width
-    of them (read at call time), or _TILE columns of a wider row; the walk
-    goes down the rows, and along each row's column tiles in order.  A tile
-    of at least _MAJOR_ROWS rows is stored counter-major, each counter's
-    values for all its rows together, and yielded as the same (rows, m)
-    view, transposed.  Each tile is overwritten by the next."""
+    streams in streams, one tile at a time: yield (r0, r1, c0, major,
+    tiles), where tiles holds, per array, the (r1 - r0, m) values V of its
+    streams r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows,
+    _TILE // width of them (read at call time), or _TILE columns of a wider
+    row; the walk goes down the rows, and along each row's column tiles in
+    order.  Where a full tile holds at least _MAJOR_ROWS rows, every tile is
+    stored counter-major, each counter's values for all its rows together,
+    and yielded as the same (rows, m) view, transposed; major tells which.
+    Each tile is overwritten by the next."""
     keys = [stream_keys(seed, s) for s in streams]
     rows = len(keys[0])
     cols = min(width, _TILE) or 1        # columns per tile
@@ -108,13 +109,13 @@ def tiles(seed: int, streams: list, width: int):
                 np.add(k[:, None], counters[:m], out=tile)
                 _to_uniform(_finalize(words, t[:words.size]))
                 out.append(tile.view(np.float64))
-            yield r0, r1, c0, out
+            yield r0, r1, c0, major, out
 
 
 def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     """The uniforms V in (0, 1] that tiles yields for counters 0..n-1 of
     many streams, as one block of shape (len(streams), n)."""
     out = np.empty((len(streams), n))
-    for r0, r1, c0, (u,) in tiles(seed, [streams], n):
+    for r0, r1, c0, _, (u,) in tiles(seed, [streams], n):
         out[r0:r1, c0:c0 + u.shape[1]] = u
     return out

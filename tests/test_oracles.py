@@ -239,7 +239,7 @@ class TestPrng:
         # V = 1 at the zero word and 2^-52 at the all-ones word, so every
         # gap is finite: exactly 0, and -log(2^-52) = 36.04 at the most.
         seed = self._seed_for(word)
-        ((_, _, _, (v,)),) = prng.tiles(seed, [[0]], 1)
+        ((_, _, _, _, (v,)),) = prng.tiles(seed, [[0]], 1)
         assert v[0, 0] == (2.0 ** -52 if word else 1.0)
         for got in (-oracles.gap_sums(seed, [[0]], 1)[0],
                     sample_arrivals(1, 1.0, seed, 0)[0]):
@@ -261,6 +261,14 @@ class TestPrng:
                                              endpoint=True)])
         got = prng._to_uniform(words.copy())
         assert _hex(got) == _hex(_reference_uniforms(words))
+
+    @pytest.mark.parametrize("width, major", [(128, True), (129, False)])
+    def test_rows_of_at_most_128_words_are_counter_major(self, width, major):
+        # The declared reduction order: at the default tile, rows of up to
+        # 128 words are stored counter-major and summed in counter order,
+        # wider ones row-major and summed pairwise.
+        assert {m for _, _, _, m, _ in prng.tiles(0, [range(600)], width)} \
+            == {major}
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
     @pytest.mark.parametrize("width", [1, 17, 128, 129, 1000])
@@ -290,11 +298,12 @@ class TestPrng:
                     == _hex(np.cumsum(row) / 0.5))
 
 
-@pytest.mark.parametrize("width", [8, 17, 100, 128])
+@pytest.mark.parametrize("width", [8, 17, 100, 128, 129])
 def test_gap_sums_do_not_depend_on_the_split(width):
     # Rows up to 128 words are drawn in counter-major tiles of _TILE // width
-    # rows and summed in counter order, a row alone in its tile too.  Each
-    # split leaves one-row tiles or walks.
+    # rows and summed in counter order, a row alone in its tile too; wider
+    # rows are summed pairwise, alone or not.  Each split leaves one-row
+    # tiles or walks.
     step = prng._TILE // width
     n = 2 * step + 2
     streams = np.arange(n, dtype=np.uint64)
@@ -534,12 +543,12 @@ class TestBlockedEstimate:
 
 
 def _row_sums(a):
-    # A row no wider than prng._TILE // 512 words (a counter-major tile) is
-    # summed in counter order.  A wider row is summed by np.sum along the
-    # row, over column tiles of prng._TILE added in order: np.sum(a, axis=1)
-    # itself for a row no wider than a tile.
+    # A row of a counter-major tile is summed in counter order.  A wider row
+    # is summed by np.sum along the row, over column tiles of prng._TILE
+    # added in order: np.sum(a, axis=1) itself for a row no wider than a
+    # tile.
     tile = prng._TILE
-    if a.shape[1] <= tile // 512:
+    if a.shape[1] <= tile // prng._MAJOR_ROWS:
         sums = a[:, 0].copy()
         for column in a.T[1:]:
             sums += column
