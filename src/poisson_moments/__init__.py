@@ -14,7 +14,7 @@ from .closed_forms import (
     odd_moment_theorem4,
     sum_moments,
 )
-from .exact_arith import Rat, binomial, factorial, pochhammer
+from .exact_arith import Rat, binomial, pochhammer
 from .matching_lab import (
     MatchingRun,
     ScalingFit,

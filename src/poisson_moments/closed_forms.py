@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from itertools import accumulate
 
-from .exact_arith import Rat, binomial, factorial, pochhammer
+from .exact_arith import Rat, binomial, pochhammer
 
 __all__ = [
     "CrossCheckError",
@@ -88,8 +88,8 @@ def diagonal_moment(k: int, a: int, lam: Rat | int = 1) -> MomentValue:
     quotient (a/2+1)_{k-1} / (k-1)!, a plain rational.
     """
     lam = _checked_rate(lam, k=k, a=a)
-    return MomentValue(factorial(a) * pochhammer(Rat(a, 2) + 1, k - 1)
-                       / factorial(k - 1) / lam ** a)
+    return MomentValue(math.factorial(a) * pochhammer(Rat(a, 2) + 1, k - 1)
+                       / math.factorial(k - 1) / lam ** a)
 
 
 def odd_moment_lemma2(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentValue:
@@ -135,7 +135,7 @@ def odd_moment_theorem4(k: int, r: int, a: int, lam: Rat | int = 1) -> MomentVal
     terms = _terms(k + r, k, a)
 
     # Gamma(k+1/2) / (Gamma(1/2) Gamma(k+1)) = (1/2)_k / k!.
-    pref1 = pochhammer(Rat(1, 2), k) / factorial(k)
+    pref1 = pochhammer(Rat(1, 2), k) / math.factorial(k)
     # sum_l (2k)_l / ((k+1)_l 2^l); term l+1 is term l times (2k+l)/(2(k+1+l)).
     geo, term = Rat(0), Rat(1)
     for l in range(r + a):
@@ -144,7 +144,7 @@ def odd_moment_theorem4(k: int, r: int, a: int, lam: Rat | int = 1) -> MomentVal
     first = -pref1 * geo * sum(terms)
 
     # Gamma(a/2+k) / (Gamma(1/2) Gamma(k)) = (1/2)_{k+(a-1)/2} / (k-1)!.
-    pref2 = pochhammer(Rat(1, 2), k + (a - 1) // 2) / factorial(k - 1)
+    pref2 = pochhammer(Rat(1, 2), k + (a - 1) // 2) / math.factorial(k - 1)
     # The inner sum over j <= l is a prefix sum of the terms.
     tail = sum(inner / (pochhammer(k, r + l + 1) * pochhammer(k, a - l))
                for l, inner in enumerate(accumulate(terms[:a])))
@@ -177,5 +177,5 @@ def moment(q: MomentQuery) -> MomentValue:
 def sum_moments(n: int, a: int, lam: Rat | int = 1) -> MomentValue:
     """sum_{k=1..n} E|X_k - Y_k|^a = (a!/lambda^a) (a/2+1)_n / n! * 2n/(2+a)."""
     lam = _checked_rate(lam, n=n, a=a)
-    return MomentValue(factorial(a) * pochhammer(Rat(a, 2) + 1, n) / factorial(n)
-                       * Rat(2 * n, 2 + a) / lam ** a)
+    return MomentValue(math.factorial(a) * pochhammer(Rat(a, 2) + 1, n)
+                       / math.factorial(n) * Rat(2 * n, 2 + a) / lam ** a)

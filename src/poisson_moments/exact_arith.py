@@ -1,9 +1,10 @@
 """Exact rational arithmetic: the one kernel every closed form is built on.
 
 Everything here is exact: rationals are arbitrary precision, and every
-Gamma ratio the closed forms need is written as a quotient of
-Pochhammer products and factorials over `Rat`, so no sqrt(pi) factor
-ever appears.  No floating point enters any computation in this module.
+Gamma ratio the closed forms need is a quotient of Pochhammer products
+over `Rat` and integer factorials, so no sqrt(pi) factor ever appears.
+No floating point enters this module.  The identity suites share none
+of it: they check the same ratios in their own integer arithmetic.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ from fractions import Fraction
 # Canonical exact rational type: always gcd-reduced, denominator > 0.
 Rat = Fraction
 
-__all__ = ["Rat", "factorial", "binomial", "pochhammer"]
-
-
-def factorial(n: int) -> Rat:
-    """n! as an exact rational.  Requires n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial requires n >= 0, got {n}")
-    return Rat(math.factorial(n))
+__all__ = ["Rat", "binomial", "pochhammer"]
 
 
 def binomial(n: int, k: int) -> Rat:

@@ -1,24 +1,8 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, strategies as st
 
-from poisson_moments.exact_arith import Rat, binomial, factorial, pochhammer
-
-
-def test_factorial_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    # frozen against an iterated-multiplication oracle
-    acc = 1
-    for m in range(1, 21):
-        acc *= m
-    assert factorial(20) == acc == 2432902008176640000
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
+from poisson_moments.exact_arith import Rat, binomial, pochhammer
 
 
 def test_binomial_values():

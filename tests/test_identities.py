@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
 from poisson_moments import identities
 from poisson_moments.closed_forms import sum_moments
-from poisson_moments.exact_arith import factorial
 from poisson_moments.identities import (
     IdentityReport,
     SUITES,
@@ -28,6 +29,32 @@ def _stepped_telescoping_lhs(n, a):
         lhs += term
         term *= (Fraction(a, 2) + k) / k
     return lhs
+
+
+def _rising(x, n):
+    """(x)_n = x(x+1)...(x+n-1) as a Fraction, one factor at a time (reference)."""
+    out = Fraction(1)
+    for i in range(n):
+        out *= x + i
+    return out
+
+
+def _fraction_d_polynomial_lhs(k, a):
+    """D(k,a) summed term by term in Fractions of rising products (reference)."""
+    terms = [(-1) ** j * _rising(k, a - j) * _rising(k, j) * math.comb(a, j)
+             for j in range(a)]
+    return sum(inner * _rising(k, (a + 1) // 2) / (_rising(k, 1 + l) * _rising(k, a - l))
+               for l, inner in enumerate(accumulate(terms)))
+
+
+def _fraction_d_polynomial_rhs(a):
+    """a! / (2 (1/2)_{(a+1)/2}) in Fractions (reference)."""
+    return math.factorial(a) / (2 * _rising(Fraction(1, 2), (a + 1) // 2))
+
+
+def _fraction_telescoping_rhs(n, a):
+    """(2n/(2+a)) (a/2+1)_n / n! in Fractions (reference)."""
+    return Fraction(2 * n, 2 + a) * _rising(Fraction(a, 2) + 1, n) / math.factorial(n)
 
 
 def test_run_suite_zero_bound_is_not_the_default():
@@ -62,7 +89,7 @@ def test_telescoping_lhs_matches_the_stepped_sum():
 
 
 def test_telescoping_lhs_is_the_diagonal_partial_sum():
-    assert factorial(3) * telescoping_lhs(2000, 3) == sum_moments(2000, 3).value
+    assert math.factorial(3) * telescoping_lhs(2000, 3) == sum_moments(2000, 3).value
 
 
 def test_telescoping_examples():
@@ -103,9 +130,36 @@ def test_d_polynomial_grid_and_constancy_in_k():
             assert d_polynomial_identity(k, a), (k, a)
 
 
+def test_d_polynomial_lhs_matches_the_fraction_sum():
+    for a in range(1, 22, 2):
+        for k in range(1, 41):
+            assert d_polynomial_lhs(k, a) == _fraction_d_polynomial_lhs(k, a), (k, a)
+
+
+def test_the_integer_right_sides_match_their_fraction_forms(monkeypatch):
+    # Each checker compares its left side with its integer right side; with
+    # the left side swapped for the Fraction form of the right side, the
+    # checker compares the two forms of the right side exactly.
+    monkeypatch.setattr(identities, "telescoping_lhs", _fraction_telescoping_rhs)
+    monkeypatch.setattr(identities, "d_polynomial_lhs",
+                        lambda k, a: _fraction_d_polynomial_rhs(a))
+    for n in range(1, 81):
+        for a in range(1, 22):
+            assert check_telescoping_sum(n, a), (n, a)
+    for a in range(1, 22, 2):
+        assert d_polynomial_identity(1, a), a
+
+
 def test_d_polynomial_rejects_even_a():
     with pytest.raises(ValueError):
         d_polynomial_identity(1, 2)
+
+
+@pytest.mark.parametrize("check", [d_polynomial_lhs, d_polynomial_identity])
+@pytest.mark.parametrize("k, a", [(0, 1), (-1, 3), (-3, 3)])
+def test_d_polynomial_rejects_k_below_one(check, k, a):
+    with pytest.raises(ValueError):
+        check(k, a)
 
 
 def test_gould_examples():
@@ -140,7 +194,7 @@ def test_incomplete_gamma_examples():
 def test_incomplete_gamma_rejects_wrong_closed_forms():
     lam = Fraction(3, 2)
     for m in (1, 2, 6):
-        terms = [lam ** l / factorial(l) for l in range(m + 1)]
+        terms = [lam ** l / math.factorial(l) for l in range(m + 1)]
         assert _is_gamma_cdf(terms[:m], m, lam)
         assert not _is_gamma_cdf(terms, m, lam)           # sum to l <= m
         assert not _is_gamma_cdf(terms[:m - 1], m, lam)   # sum to l < m - 1
