@@ -5,12 +5,12 @@ cost sum |X_k - Y_k|^b, verifies optimality against a brute-force
 permutation oracle at small n, and fits the empirical cost-versus-n
 scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
 from rate-1 gaps, each distance divided by n before it is raised to b,
-and summed by `oracles.gap_sums` one cache-sized tile of `prng.tiles` at
-a time, with X_k - Y_k one running sum of the gap differences, carried
-across the tiles of a wide row; the per-trial costs are reduced by
-`oracles.blocked_estimate`, so memory stays bounded whatever n or trials
-is.  numpy is imported inside the functions that sample or fit, so the
-exact expected cost and the brute-force oracle do not load it.
+one cache-sized tile of `prng.tiles` at a time, with X_k - Y_k one
+running sum of the gap differences, carried across the tiles of a wide
+row, and summed by `prng.add_row_sums`; `oracles.blocked_estimate`
+reduces the per-trial costs, so memory stays bounded whatever n or trials
+is.  numpy and prng load only in the functions that sample or fit, so
+the exact expected cost and the brute-force oracle do without them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import permutations
 
 from .closed_forms import sum_moments
 from .exact_arith import Rat
-from .oracles import MCEstimate, blocked_estimate, gap_sums, sample_arrivals
+from .oracles import MCEstimate, blocked_estimate, sample_arrivals
 
 __all__ = [
     "MatchingRun",
@@ -77,6 +77,8 @@ def sample_matching_run(n: int, b: float, seed: int,
                         stream_pair: int = 0) -> MatchingRun:
     """Sample one bicolored instance at the coupled rate lambda = n, with
     its sorted and brute-force optimal costs (n <= 8)."""
+    if not 0 <= stream_pair < 1 << 63:
+        raise ValueError(f"stream_pair must be in [0, 2^63), got {stream_pair}")
     xs = sample_arrivals(n, float(n), seed, 2 * stream_pair)
     ys = sample_arrivals(n, float(n), seed, 2 * stream_pair + 1)
     return MatchingRun(sorted_cost=sorted_matching_cost(xs, ys, b),
@@ -86,13 +88,18 @@ def sample_matching_run(n: int, b: float, seed: int,
 def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
                    stream_offset: int = 0) -> MCEstimate:
     """Monte Carlo mean of the sorted matching cost at lambda = n; trial t
-    uses streams 2(stream_offset+t) and 2(stream_offset+t)+1."""
+    uses streams 2(stream_offset+t) and 2(stream_offset+t)+1, so
+    stream_offset + trials may be at most 2^63."""
     import numpy as np
+
+    from .prng import add_row_sums, tiles
 
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if not (n >= 1 and 0 < b < math.inf):
         raise ValueError("require n >= 1, 0 < b < inf")
+    if not 0 <= stream_offset <= (1 << 63) - trials:
+        raise ValueError("require 0 <= stream_offset <= 2^63 - trials")
 
     def costs(lo: int, hi: int) -> np.ndarray:
         # (|X - Y| / n) ** b in each tile of -gaps: the running sum of the
@@ -100,10 +107,11 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
         # ~sqrt(k), not at the arrival times', ~k.  A wide row carries it
         # into the next tile's first difference.  **= takes numpy's
         # scalar-power fast paths as ** does, so b = 2 stays a square.
-        carry = None
-
-        def tail(x: np.ndarray, y: np.ndarray, c0: int) -> None:
-            nonlocal carry
+        pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
+        sums = np.empty(hi - lo)
+        for r0, r1, c0, (x, y) in tiles(seed, [2 * pairs, 2 * pairs + 1], n):
+            np.log(x, out=x)
+            np.log(y, out=y)
             x -= y
             if c0:
                 x[:, 0] += carry
@@ -112,9 +120,8 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
             np.abs(x, out=x)
             x /= n
             x **= b
-
-        pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
-        return gap_sums(seed, [2 * pairs, 2 * pairs + 1], n, tail)
+            add_row_sums(sums, r0, r1, c0, x)
+        return sums
 
     return blocked_estimate(costs, trials, n)
 

@@ -11,20 +11,17 @@ Two routes that share no code with the closed forms:
 Every Monte Carlo estimate draws rate-1 gaps, divides each distance by
 the rate before raising it to b, and reduces the values with
 `blocked_estimate`, in blocks of bounded memory.  Within a block a
-sampler never holds a block-sized or row-sized array: `gap_sums` turns
-each cache-sized tile that `prng.tiles` draws (of whole rows, or of one
-wide row's columns) into gaps, transforms and sums it before the next,
-so only per-row results leave the tile.  Each block's rows are sampled as
-contiguous slices, one per CPU the process may run on (fewer for a small
-block), the first on the calling thread and the rest on a thread pool,
-and joined in row order.  Row i of every sampler is a pure function of
-its stream addresses (the PRNG is counter-based, and every sum and
-running sum runs along the row), so the block, and with it every mean and
-stderr, is bit-identical for any number of threads.  A row of a
-counter-major tile (at most 128 words) is summed in counter order, a wider
-one by numpy's pairwise sum.  A row wider than a tile adds its tile sums in
-column order, so only there is the tile size part of the reduction order,
-as _BLOCK_ROWS is.
+sampler never holds a block-sized or row-sized array: it turns each
+cache-sized tile that `prng.tiles` draws (of whole rows, or of one wide
+row's columns) into gaps, transforms it and adds its row sums with
+`prng.add_row_sums`, in the order prng fixes, before the next.  Each
+block's rows are sampled as contiguous slices, one per CPU the process
+may run on (fewer for a small block), the first on the calling thread
+and the rest on a thread pool, and joined in row order.  Row i of every
+sampler is a pure function of its stream addresses (the PRNG is
+counter-based, and every sum and running sum runs along the row), so the
+block, and with it every mean and stderr, is bit-identical for any
+number of threads.
 numpy is imported inside the functions that draw or reduce samples, and
 the thread pool only for blocks of several slices, so the exact oracle
 (and every caller that never samples) loads neither.
@@ -106,39 +103,17 @@ def exact_moment_first_principles(i: int, k: int, a: int,
     return Fraction(total, 1 << e) / Fraction(lam) ** a
 
 
-def gap_sums(seed: int, streams: list, width: int, tail=None) -> np.ndarray:
-    """Sum along each row of minus the rate-1 gaps, log(V), of counters
-    0..width-1 of the streams in streams[0]; given tail(x, y, c0), the sum
-    of what tail leaves in x, a tile of those gaps that starts at column c0,
-    from y, the same tile of the streams in streams[1].
-
-    prng.tiles yields V in (0, 1], so log turns each tile in place into
-    minus the gaps, all finite, and a row's sum is exactly minus theirs.
-    Each tile is transformed and summed in cache before the next is drawn;
-    a row of a counter-major tile is summed in counter order, even alone in
-    its tile, and the tile sums of a row wider than a tile are added in
-    column order.
-    """
+def gap_sums(seed: int, streams, width: int) -> np.ndarray:
+    """Sum along each row of log(V), minus the rate-1 gaps, all finite, of
+    counters 0..width-1 of the streams (prng.tiles yields V in (0, 1])."""
     import numpy as np
 
-    from .prng import tiles
+    from .prng import add_row_sums, tiles
 
-    sums = np.empty(len(streams[0]))
-    for r0, r1, c0, major, gs in tiles(seed, streams, width):
-        for g in gs:
-            np.log(g, out=g)
-        if tail is not None:
-            tail(*gs, c0)
-        g = gs[0]
-        if c0:
-            sums[r0:r1] += np.sum(g, axis=1)
-        elif major and len(g) == 1:
-            # np.sum would add a lone row of a counter-major tile pairwise,
-            # as one contiguous row: its last running sum adds it in
-            # counter order.
-            sums[r0] = np.cumsum(g[0])[-1]
-        else:
-            np.sum(g, axis=1, out=sums[r0:r1])
+    sums = np.empty(len(streams))
+    for r0, r1, c0, (g,) in tiles(seed, [streams], width):
+        np.log(g, out=g)
+        add_row_sums(sums, r0, r1, c0, g)
     return sums
 
 
@@ -230,8 +205,10 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < lam < math.inf:
         raise ValueError(f"lambda must be finite and > 0, got {lam}")
+    if not 0 <= stream < 1 << 64:
+        raise ValueError(f"stream must be in [0, 2^64), got {stream}")
     row = np.empty(n)
-    for r0, r1, c0, _, (u,) in tiles(seed, [[stream]], n):
+    for r0, r1, c0, (u,) in tiles(seed, [[stream]], n):
         np.log(u[0], out=row[c0:c0 + u.shape[1]])
     return np.divide(np.cumsum(row, out=row), -lam, out=row)
 
@@ -254,8 +231,8 @@ def mc_moment(k: int, r: int, b: float, lam: float,
         # x and y are minus the arrival times, so |x - y| is unchanged;
         # **= takes numpy's scalar-power fast paths as ** does.
         pairs = np.arange(lo, hi, dtype=np.uint64)
-        x = gap_sums(seed, [2 * pairs], k + r)
-        x -= gap_sums(seed, [2 * pairs + 1], k)
+        x = gap_sums(seed, 2 * pairs, k + r)
+        x -= gap_sums(seed, 2 * pairs + 1, k)
         np.abs(x, out=x)
         x /= lam
         x **= b

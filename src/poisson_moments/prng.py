@@ -9,17 +9,20 @@ samplers' gaps go through numpy's `log`, whose last bits may differ
 between its SIMD kernels.)  The mixer is the splitmix64 finalizer applied
 to a Weyl sequence, evaluated vectorized in numpy.  `tiles` hashes and
 converts a draw one tile at a time, whole rows or a piece of one row, in
-place with one tile of scratch; tiles of `_TILE` words stay in cache, and a
-tile of rows no wider than `_TILE // _MAJOR_ROWS` words is stored
-counter-major.  It yields V = 1 - U in (0, 1], on the 2^-52 grid, whose log
-is minus a finite gap; `uniform_block` copies the tiles into one block.
+place with one tile of scratch; tiles of `_TILE` words stay in cache.  It
+yields V = 1 - U in (0, 1], on the 2^-52 grid, whose log is minus a finite
+gap; `uniform_block` copies the tiles into one block.  This module alone
+decides the tile layout and, in `add_row_sums`, the row-sum order that
+goes with it: a row of at most `_TILE // _MAJOR_ROWS` = 128 words is
+stored counter-major and summed in counter order, a wider one pairwise,
+with the tile sums of a row wider than a tile added in column order.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["tiles", "uniform_block"]
+__all__ = ["add_row_sums", "tiles", "uniform_block"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -31,12 +34,16 @@ _ONE = np.uint64(0x3FF0000000000000)   # the exponent bits of 1.0
 # in cache.  It changes no uniform; it is part of the reduction order of a
 # row wider than it, and of which rows are summed in counter order.
 _TILE = 1 << 16
-# A tile of at least this many rows, so of rows no wider than
-# _TILE // _MAJOR_ROWS = 128 words, is stored counter-major.  numpy then
-# runs the Weyl add, a row sum and a running sum as one loop across the
-# rows per counter, and releases the GIL in a 2-D running sum from about
-# 500 rows.
+# Rows per tile from which tiles are stored counter-major: numpy then runs
+# the Weyl add, a row sum and a running sum as one loop across the rows per
+# counter, and releases the GIL in a 2-D running sum from about 500 rows.
 _MAJOR_ROWS = 512
+
+
+def _counter_major(cols: int) -> bool:
+    """Whether tiles of cols columns, so rows no wider than _TILE //
+    _MAJOR_ROWS = 128 words, are stored counter-major."""
+    return cols <= _TILE // _MAJOR_ROWS
 
 
 def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -72,20 +79,20 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
 
 def tiles(seed: int, streams: list, width: int):
     """Walk the uniforms V in (0, 1] of counters 0..width-1 of each array of
-    streams in streams, one tile at a time: yield (r0, r1, c0, major,
-    tiles), where tiles holds, per array, the (r1 - r0, m) values V of its
-    streams r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows,
-    _TILE // width of them (read at call time), or _TILE columns of a wider
-    row; the walk goes down the rows, and along each row's column tiles in
-    order.  Where a full tile holds at least _MAJOR_ROWS rows, every tile is
-    stored counter-major, each counter's values for all its rows together,
-    and yielded as the same (rows, m) view, transposed; major tells which.
-    Each tile is overwritten by the next."""
+    streams in streams, one tile at a time: yield (r0, r1, c0, tiles), where
+    tiles holds, per array, the (r1 - r0, m) values V of its streams
+    r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows, _TILE // width
+    of them (read at call time), or _TILE columns of a wider row; the walk
+    goes down the rows, and along each row's column tiles in order.  Where
+    a full tile holds at least _MAJOR_ROWS rows, every tile is stored
+    counter-major, each counter's values for all its rows together, and
+    yielded as the same (rows, m) view, transposed.  Each tile is
+    overwritten by the next."""
     keys = [stream_keys(seed, s) for s in streams]
     rows = len(keys[0])
     cols = min(width, _TILE) or 1        # columns per tile
     step = _TILE // cols                 # rows per tile
-    major = step >= _MAJOR_ROWS          # counter-major tiles
+    major = _counter_major(cols)
     counters = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN  # Weyl steps
     # One allocation holds the scratch and a tile of each array.  Freed
     # whole, it raises glibc's dynamic mmap and trim thresholds past a
@@ -109,13 +116,27 @@ def tiles(seed: int, streams: list, width: int):
                 np.add(k[:, None], counters[:m], out=tile)
                 _to_uniform(_finalize(words, t[:words.size]))
                 out.append(tile.view(np.float64))
-            yield r0, r1, c0, major, out
+            yield r0, r1, c0, out
+
+
+def add_row_sums(sums: np.ndarray, r0: int, r1: int, c0: int, tile):
+    """Write the row sums of a float tile that tiles yielded at (r0, r1, c0),
+    or that was computed from one, into sums[r0:r1], or add them there for
+    the later column tiles of a wide row.  A row of a counter-major tile is
+    summed in counter order, a lone one by its last running sum (np.sum
+    would add one contiguous row pairwise), and other rows pairwise."""
+    if c0:
+        sums[r0:r1] += np.sum(tile, axis=1)
+    elif r1 - r0 == 1 and _counter_major(tile.shape[1]):
+        sums[r0] = np.cumsum(tile[0])[-1]
+    else:
+        np.sum(tile, axis=1, out=sums[r0:r1])
 
 
 def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     """The uniforms V in (0, 1] that tiles yields for counters 0..n-1 of
     many streams, as one block of shape (len(streams), n)."""
     out = np.empty((len(streams), n))
-    for r0, r1, c0, _, (u,) in tiles(seed, [streams], n):
+    for r0, r1, c0, (u,) in tiles(seed, [streams], n):
         out[r0:r1, c0:c0 + u.shape[1]] = u
     return out

@@ -84,6 +84,23 @@ class TestExpectedCost:
             with pytest.raises(ValueError):
                 mc_sorted_cost(n, b, trials, seed=0)
 
+    def test_mc_rejects_stream_addresses_that_wrap(self):
+        # Trial t draws streams 2(offset + t) and 2(offset + t) + 1, 64-bit
+        # words: an offset of 2^63 would wrap onto offset 0's streams.
+        for offset in (-1, 2 ** 63, 2 ** 63 - 9, 2 ** 64):
+            with pytest.raises(ValueError):
+                mc_sorted_cost(8, 1.0, 10, 1, stream_offset=offset)
+        top = mc_sorted_cost(8, 1.0, 10, 1, stream_offset=2 ** 63 - 10)
+        assert math.isfinite(top.mean)
+        assert top != mc_sorted_cost(8, 1.0, 10, 1)
+
+    def test_sample_matching_run_rejects_pairs_beyond_64_bit_streams(self):
+        for pair in (-1, 2 ** 63):
+            with pytest.raises(ValueError):
+                sample_matching_run(3, 1.0, 1, stream_pair=pair)
+        run = sample_matching_run(3, 1.0, 1, stream_pair=2 ** 63 - 1)
+        assert run.sorted_cost == pytest.approx(run.optimal_cost, rel=1e-9)
+
 
 class TestScalingExperiment:
     GRID = [8, 16, 32, 64, 128, 256, 512, 1024]

@@ -160,10 +160,11 @@ def _prng_names(module):
 @pytest.mark.parametrize("module", [oracles, matching_lab],
                          ids=["oracles", "matching_lab"])
 def test_the_samplers_only_consume_the_tile_walk(module):
-    # The tile geometry, the scratch, the counter words and the key offsets
-    # are decided in prng alone, and its tiles are the only path from a
-    # uniform to a gap; the samplers transform the tiles it yields.
-    assert _prng_names(module) <= {"tiles"}
+    # The tile geometry, the scratch, the counter words, the key offsets and
+    # the row-sum order that goes with the layout are decided in prng alone,
+    # and its tiles are the only path from a uniform to a gap; the samplers
+    # transform the tiles it yields and sum them with its add_row_sums.
+    assert _prng_names(module) <= {"tiles", "add_row_sums"}
 
 
 class TestPrng:
@@ -239,9 +240,9 @@ class TestPrng:
         # V = 1 at the zero word and 2^-52 at the all-ones word, so every
         # gap is finite: exactly 0, and -log(2^-52) = 36.04 at the most.
         seed = self._seed_for(word)
-        ((_, _, _, _, (v,)),) = prng.tiles(seed, [[0]], 1)
+        ((_, _, _, (v,)),) = prng.tiles(seed, [[0]], 1)
         assert v[0, 0] == (2.0 ** -52 if word else 1.0)
-        for got in (-oracles.gap_sums(seed, [[0]], 1)[0],
+        for got in (-oracles.gap_sums(seed, [0], 1)[0],
                     sample_arrivals(1, 1.0, seed, 0)[0]):
             assert math.isfinite(got) and got == pytest.approx(gap, rel=1e-15)
             assert got == 0.0 or word
@@ -266,8 +267,11 @@ class TestPrng:
     def test_rows_of_at_most_128_words_are_counter_major(self, width, major):
         # The declared reduction order: at the default tile, rows of up to
         # 128 words are stored counter-major and summed in counter order,
-        # wider ones row-major and summed pairwise.
-        assert {m for _, _, _, m, _ in prng.tiles(0, [range(600)], width)} \
+        # wider ones row-major and summed pairwise.  Each walk here yields
+        # two tiles of several rows; a counter-major view steps by one word
+        # from row to row.
+        assert {u.strides[0] < u.strides[1]
+                for _, _, _, (u,) in prng.tiles(0, [range(600)], width)} \
             == {major}
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
@@ -291,7 +295,7 @@ class TestPrng:
         u = _reference_uniforms(words)
         gaps = -np.log(u)
         assert _hex(uniform_block(seed, streams, width)) == _hex(u)
-        assert (_hex(-oracles.gap_sums(seed, [streams], width))
+        assert (_hex(-oracles.gap_sums(seed, streams, width))
                 == _hex(_row_sums(gaps)))
         for s, row in zip(streams, gaps):
             assert (_hex(sample_arrivals(width, 0.5, seed, s))
@@ -299,20 +303,27 @@ class TestPrng:
 
 
 @pytest.mark.parametrize("width", [8, 17, 100, 128, 129])
-def test_gap_sums_do_not_depend_on_the_split(width):
+def test_gap_sums_do_not_depend_on_the_split(width, monkeypatch):
     # Rows up to 128 words are drawn in counter-major tiles of _TILE // width
     # rows and summed in counter order, a row alone in its tile too; wider
     # rows are summed pairwise, alone or not.  Each split leaves one-row
-    # tiles or walks.
+    # tiles or walks, in gap_sums and in mc_sorted_cost's per-trial costs.
     step = prng._TILE // width
     n = 2 * step + 2
     streams = np.arange(n, dtype=np.uint64)
-    whole = _hex(oracles.gap_sums(3, [streams], width))
-    assert whole == _hex(-_row_sums(_reference_gaps(3, streams, width)))
-    for cuts in ([0, 1, n], [0, step + 1, n], [0, step + 2, n - 1, n]):
-        parts = [oracles.gap_sums(3, [streams[lo:hi]], width)
-                 for lo, hi in zip(cuts, cuts[1:])]
-        assert _hex(np.concatenate(parts)) == whole, cuts
+    seen = TestFusedSamplers._spy(matching_lab, monkeypatch)
+    mc_sorted_cost(width, 1.5, n, 3)
+    cases = {
+        "gap_sums": (lambda lo, hi: oracles.gap_sums(3, streams[lo:hi], width),
+                     -_row_sums(_reference_gaps(3, streams, width))),
+        "mc_sorted_cost": (seen[-1], _reference_costs(3, width, 1.5, 0)(0, n)),
+    }
+    for name, (sample, reference) in cases.items():
+        whole = _hex(sample(0, n))
+        assert whole == _hex(reference), name
+        for cuts in ([0, 1, n], [0, step + 1, n], [0, step + 2, n - 1, n]):
+            parts = [sample(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+            assert _hex(np.concatenate(parts)) == whole, (name, cuts)
 
 
 class TestSampleArrivals:
@@ -354,6 +365,13 @@ class TestSampleArrivals:
             sample_arrivals(3, math.nan, 1)
         with pytest.raises(ValueError):
             sample_arrivals(3, math.inf, 1)
+
+    def test_streams_are_64_bit_words(self):
+        for stream in (-1, 2 ** 64):
+            with pytest.raises(ValueError):
+                sample_arrivals(3, 1.0, 1, stream=stream)
+        top = sample_arrivals(3, 1.0, 1, stream=2 ** 64 - 1)
+        assert _hex(top) == _hex(np.cumsum(_reference_gaps(1, [2 ** 64 - 1], 3)))
 
 
 class TestMcMoment:
