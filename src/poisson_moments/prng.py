@@ -58,9 +58,13 @@ def _finalize(z: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def stream_keys(seed: int, streams) -> np.ndarray:
-    """The key of each stream: its first Weyl word is key + golden."""
+    """The key of each stream: its first Weyl word is key + golden.  The
+    seed is one 64-bit word: any other would draw some other seed's
+    streams."""
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
     streams = np.asarray(streams, dtype=np.uint64)
-    seed_word = np.array([seed & _MASK], dtype=np.uint64)
+    seed_word = np.array([seed], dtype=np.uint64)
     seed_hash = _finalize(seed_word, np.empty_like(seed_word))[0]
     keys = streams * _STREAM_SALT
     keys ^= seed_hash

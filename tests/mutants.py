@@ -36,6 +36,10 @@ _CLOSED = "poisson_moments/closed_forms.py"
 _TERMS_TESTS = [
     _ORACLES + "TestFirstPrinciplesOracle::test_matches_closed_forms",
     "tests/test_acceptance.py::test_criterion_3_first_principles_equivalence"]
+_GOLDENS = ["tests/test_cli.py::TestGoldenOutput::test_stdout_is_unchanged"
+            f"[{name}-{fmt}]"
+            for name in ("matching", "simulate-fractional-b", "simulate-integer-b")
+            for fmt in ("csv", "json", "text")]
 _LEMMA3_TESTS = [
     "tests/test_closed_forms.py::TestSpotValues::test_lemma3_examples",
     "tests/test_closed_forms.py::TestCrossFormulaInvariants::"
@@ -88,6 +92,21 @@ MUTANTS = [
             "_tiles[17-5-mc_sorted_cost]",
             _ORACLES + "TestFusedSamplers::test_sorted_costs_are_near_the_exact"
             "_sum[7]"]),
+    Mutant("first-gap-dropped", _PRNG,
+           "                out.append(tile.view(np.float64))\n",
+           "                out.append(tile.view(np.float64))\n"
+           "                out[-1][:, 0] = 1.0\n",
+           _GOLDENS),
+    Mutant("seeds-wrap", _PRNG,
+           "    if not 0 <= seed <= _MASK:\n"
+           "        raise ValueError(f\"seed must be in [0, 2^64), got {seed}\")\n",
+           "    seed &= _MASK\n",
+           [_ORACLES + f"test_seeds_outside_64_bits_raise[{f}-{seed}]"
+            for f in ("mc_moment", "mc_sorted_cost", "sample_arrivals")
+            for seed in ("minus_one", "2_to_64")]
+           + ["tests/test_cli.py::TestInputDomain::test_seed_outside_64_bits"
+              f"[{sub}-{seed}]"
+              for sub in ("simulate", "matching") for seed in ("-1", 2 ** 64)]),
     Mutant("terms-sign-flip", _CLOSED,
            "binomial(a, j) * (-1) ** j *", "binomial(a, j) * (-1) ** (j + 1) *",
            _TERMS_TESTS),

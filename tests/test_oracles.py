@@ -696,3 +696,26 @@ class TestFusedSamplers:
         monkeypatch.setattr(oracles, "_BLOCK_UNIFORMS", 64)
         for width in (17, 150):
             self._check(sampler, width, 5, monkeypatch)
+
+
+# A seed is one 64-bit word.  Seeds that differ by 2^64 used to draw the
+# same streams: -1 those of 2^64 - 1, and 2^64 those of 0.
+_SEEDED = {"mc_moment": lambda seed: mc_moment(2, 1, 1.5, 1.0, 100, seed),
+           "mc_sorted_cost": lambda seed: mc_sorted_cost(8, 1.0, 10, seed),
+           "sample_arrivals": lambda seed: sample_arrivals(3, 1.0, seed)}
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64], ids=["minus_one", "2_to_64"])
+@pytest.mark.parametrize("sampler", sorted(_SEEDED))
+def test_seeds_outside_64_bits_raise(sampler, seed):
+    with pytest.raises(ValueError, match="seed must be in"):
+        _SEEDED[sampler](seed)
+
+
+def test_the_top_seed_keeps_its_bits():
+    # sample_arrivals at this seed is in test_kernel_matches_the_reference.
+    top = 2 ** 64 - 1
+    assert mc_moment(2, 1, 1.5, 1.0, 100, top) == blocked_estimate(
+        _reference_distances(top, 2, 1, 1.5, 1.0), 100, 3)
+    assert mc_sorted_cost(8, 1.0, 10, top) == blocked_estimate(
+        _reference_costs(top, 8, 1.0, 0), 10, 8)
