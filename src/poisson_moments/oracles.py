@@ -8,18 +8,23 @@ Two routes that share no code with the closed forms:
 * `mc_moment` estimates moments (including non-integer exponents) by
   deterministic, stream-addressed Monte Carlo.
 
-Every Monte Carlo estimate draws rate-1 gaps, divides each distance by
-the rate before raising it to b, and reduces the values with
-`blocked_estimate`, in blocks of bounded memory.  Within a block a
+Every Monte Carlo estimate draws arrival times at rate 1, divides each
+distance by the rate before raising it to b, and reduces the values with
+`blocked_estimate`, in blocks of bounded memory.  `mc_moment` sums an
+arrival time of shape (index) s <= `_GAP_SHAPES` from its s gaps, and
+draws a larger one as one Gamma(s) variate, by Marsaglia and Tsang's
+method from 3 uniforms per attempt (`gamma_variates`).  Within a block a
 sampler never holds a block-sized or row-sized array: it turns each
 cache-sized tile that `prng.tiles` draws (of whole rows, or of one wide
-row's columns) into gaps, transforms it and adds its row sums with
-`prng.add_row_sums`, in the order prng fixes, before the next.  Each
+row's columns) into gaps or Gamma attempts, transforms it and keeps its
+per-row results (row sums by `prng.add_row_sums`, in the order prng
+fixes) before the next.  Each
 block's rows are sampled as contiguous slices, one per CPU the process
 may run on (fewer for a small block), the first on the calling thread
 and the rest on a thread pool, and joined in row order.  Row i of every
 sampler is a pure function of its stream addresses (the PRNG is
-counter-based, and every sum and running sum runs along the row), so the
+counter-based, every sum and running sum runs along the row, and a Gamma
+attempt reads its own row's counters alone), so the
 block, and with it every mean and stderr, is bit-identical for any
 number of threads.
 numpy is imported inside the functions that draw or reduce samples, and
@@ -34,6 +39,7 @@ import math
 import os
 from collections import namedtuple
 from fractions import Fraction
+from numbers import Integral
 
 __all__ = [
     "MCEstimate",
@@ -51,6 +57,13 @@ _BLOCK_UNIFORMS = 1 << 22
 _SLICE_UNIFORMS = 1 << 15
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+# An arrival time of a shape up to this is a sum of gaps, of a larger one a
+# Gamma variate (gamma_variates).  On one thread of a 2-vCPU x86_64 VM with
+# numpy 2.4.6, a variate cost ~90 ns and a sum ~10 ns per gap, so they cross
+# near shape 10; a monte_carlo benchmark pass took 314, 322 and 336 ms at 9,
+# 12 and 16 here (614 ms with gaps alone).  At 12, acceptance criterion 6's
+# shapes (11 at most) stay on gaps.
+_GAP_SHAPES = 12
 
 
 class MCEstimate(namedtuple("MCEstimate", "mean stderr")):
@@ -115,6 +128,71 @@ def gap_sums(seed: int, streams, width: int) -> np.ndarray:
         np.log(g, out=g)
         add_row_sums(sums, r0, r1, c0, g)
     return sums
+
+
+def gamma_variates(seed: int, streams: np.ndarray, shape: int) -> np.ndarray:
+    """One Gamma(shape) variate at rate 1 per stream, for a shape above 9, by
+    Marsaglia & Tsang (2000).  With d = shape - 1/3, attempt j reads the
+    stream's counters 3j..3j+2: V1 and V2 for the normal
+    x = sqrt(-2 log V1) sin(pi (V2 - 1/2)) (Box & Muller 1958, with a
+    half-circle angle, whose sine is distributed as the full circle's
+    cosine), V3 for the test log V3 - x^2/2 < d (1 - v + log v), where
+    v = (1 + x / sqrt(9 d))^3; the first attempt that passes gives d v.
+    As V1 >= 2^-52, |x| <= sqrt(104 log 2) < 8.5, so v > 0 for every such
+    shape.  Each attempt walks the rows still rejected through prng.tiles,
+    so a row is a function of its stream alone."""
+    import numpy as np
+
+    from .prng import tiles
+
+    d = shape - 1 / 3
+    c = 1 / math.sqrt(9 * d)
+    out = np.empty(len(streams))
+    todo, draw = None, streams  # the rows still to draw (None: all), streams
+    first = 0  # the attempt's first counter
+    while len(draw):
+        rejected = []
+        for r0, r1, c0, (v,) in tiles(seed, [draw], first + 3):
+            lo, hi = max(c0, first), c0 + v.shape[1]
+            if lo >= hi:
+                continue  # counters of earlier attempts alone
+            if hi - lo < 3:
+                # The attempt spans column tiles, which only tiles narrower
+                # than 3j + 3 words make: its counters are gathered first.
+                if lo == first:
+                    split = np.empty((3, r1 - r0))
+                split[lo - first:hi - first] = v[:, lo - c0:].T
+                if hi < first + 3:
+                    continue
+                v = split.T
+            x, t, u = v[:, -3:].T
+            np.log(x, out=x)  # x: the normal
+            x *= -2.0
+            np.sqrt(x, out=x)
+            t -= 0.5
+            t *= math.pi
+            np.sin(t, out=t)
+            x *= t
+            np.multiply(x, c, out=t)  # t: 1 + x / sqrt(9 d)
+            t += 1.0
+            np.log(u, out=u)  # u: log V3 - x^2/2
+            np.square(x, out=x)
+            x *= 0.5
+            u -= x
+            np.multiply(t, t, out=x)  # x: v
+            x *= t
+            np.log(x, out=t)  # t: d (1 - v + log v)
+            t -= x
+            t += 1.0
+            t *= d
+            x *= d
+            rows = np.arange(r0, r1) if todo is None else todo[r0:r1]
+            out[rows] = x  # a rejected row is overwritten by a later attempt
+            rejected.append(rows[~(u < t)])
+        todo = np.concatenate(rejected)
+        draw = streams[todo]
+        first += 3
+    return out
 
 
 def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
@@ -218,24 +296,39 @@ def mc_moment(k: int, r: int, b: float, lam: float,
     """Monte Carlo estimate of E|X_{k+r} - Y_k|^b (any finite real b > 0).
 
     Pair m draws its two processes from streams 2m and 2m+1, so the
-    result is a pure function of (seed, k, r, b, lam, samples).
+    result is a pure function of (seed, k, r, b, lam, samples).  An
+    arrival time of shape up to _GAP_SHAPES is the sum of its gaps, a
+    later one a Gamma variate (gamma_variates); k and r are integers.
     """
     import numpy as np
 
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    if not (isinstance(k, Integral) and isinstance(r, Integral)):
+        raise ValueError(f"k and r must be integers, got k={k!r}, r={r!r}")
     if not (k >= 1 and r >= 0 and 0 < b < math.inf and 0 < lam < math.inf):
         raise ValueError("require k >= 1, r >= 0, 0 < b < inf, 0 < lam < inf")
+
+    def arrivals(streams: np.ndarray, shape: int) -> np.ndarray:
+        # Minus the arrival times, as gap_sums gives them.
+        if shape <= _GAP_SHAPES:
+            return gap_sums(seed, streams, shape)
+        g = gamma_variates(seed, streams, shape)
+        return np.negative(g, out=g)
 
     def distances(lo: int, hi: int) -> np.ndarray:
         # x and y are minus the arrival times, so |x - y| is unchanged;
         # **= takes numpy's scalar-power fast paths as ** does.
-        pairs = np.arange(lo, hi, dtype=np.uint64)
-        x = gap_sums(seed, 2 * pairs, k + r)
-        x -= gap_sums(seed, 2 * pairs + 1, k)
+        streams = np.arange(lo, hi, dtype=np.uint64)
+        streams *= 2
+        x = arrivals(streams, k + r)
+        streams += 1
+        x -= arrivals(streams, k)
         np.abs(x, out=x)
         x /= lam
         x **= b
         return x
 
-    return blocked_estimate(distances, samples, k + r)
+    # The uniforms a stream draws per row: its shape, or a Gamma attempt's 3.
+    width = max(s if s <= _GAP_SHAPES else 3 for s in (k + r, k))
+    return blocked_estimate(distances, samples, width)

@@ -33,6 +33,7 @@ Mutant = namedtuple("Mutant", "name file old new tests")
 _ORACLES = "tests/test_oracles.py::"
 _PRNG = "poisson_moments/prng.py"
 _CLOSED = "poisson_moments/closed_forms.py"
+_ORACLES_SRC = "poisson_moments/oracles.py"
 _TERMS_TESTS = [
     _ORACLES + "TestFirstPrinciplesOracle::test_matches_closed_forms",
     "tests/test_acceptance.py::test_criterion_3_first_principles_equivalence"]
@@ -79,7 +80,7 @@ MUTANTS = [
            [_ORACLES + "TestPrng::test_kernel_matches_the_reference[0-17-7]",
             _ORACLES + "TestPrng::test_kernel_matches_the_reference[7-1000-7]",
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
-            "[70001-3-mc_moment]",
+            "[70001-3-gap_sums]",
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
             "[70001-3-mc_sorted_cost]"]),
     Mutant("sorted-cost-drops-the-carry", "poisson_moments/matching_lab.py",
@@ -107,6 +108,30 @@ MUTANTS = [
            + ["tests/test_cli.py::TestInputDomain::test_seed_outside_64_bits"
               f"[{sub}-{seed}]"
               for sub in ("simulate", "matching") for seed in ("-1", 2 ** 64)]),
+    Mutant("gamma-d-minus-half", _ORACLES_SRC,
+           "    d = shape - 1 / 3\n", "    d = shape - 1 / 2\n",
+           [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
+            for s in ("13-65536", "10000-65536")]
+           + [_ORACLES + "TestGammaVariates::test_mean_and_variance_are_the_"
+              "shape[13]",
+              _ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+              "shape[13-0]"]),
+    Mutant("x-on-y-parity", _ORACLES_SRC,
+           "        streams *= 2\n",
+           "        streams *= 2\n        streams += 1\n",
+           [_ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+            f"shape[{kr}]" for kr in ("12-0", "12-1", "13-0")]
+           + [_ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
+              "[128-33000-mc_moment]"]),
+    Mutant("gamma-no-retry", _ORACLES_SRC,
+           "            rejected.append(rows[~(u < t)])\n",
+           "            rejected.append(rows[:0])\n",
+           [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
+            for s in ("13-7", "13-65536")]),
+    Mutant("gamma-attempts-overlap", _ORACLES_SRC,
+           "        first += 3\n", "        first += 2\n",
+           [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
+            for s in ("13-7", "13-65536")]),
     Mutant("terms-sign-flip", _CLOSED,
            "binomial(a, j) * (-1) ** j *", "binomial(a, j) * (-1) ** (j + 1) *",
            _TERMS_TESTS),

@@ -108,6 +108,25 @@ def test_criterion_6_monte_carlo_agreement():
            detail=str(bad))
 
 
+def test_criterion_6_on_the_gamma_route():
+    # Criterion 6's grid stops at shape 11.  mc_moment sums shapes up to 12
+    # from gaps and draws larger ones as Gamma variates; k = 12 and 13
+    # straddle that, with r = 5 one arrival time on each route.
+    grid = [(k, r, a) for k in (12, 13, 50, 256) for r in (0, 5)
+            for a in (1, 2, 3)]
+    bad = []
+    for k, r, a in grid:
+        exact = float(moment(MomentQuery(k, r, a)).value)
+        est = mc_moment(k, r, float(a), 1.0, 10 ** 6, seed=MC_SEED)
+        if abs(est.zscore(exact)) > 4:
+            # one automatic reseed before declaring failure
+            est = mc_moment(k, r, float(a), 1.0, 10 ** 6, seed=MC_SEED + 1)
+            if abs(est.zscore(exact)) > 4:
+                bad.append((k, r, a, est.zscore(exact)))
+    report("6g", "Monte Carlo within 4 sigma on the Gamma route", not bad,
+           detail=str(bad))
+
+
 def test_criterion_7_sorted_matching_is_optimal():
     bad = []
     for idx in range(500):

@@ -234,11 +234,25 @@ class TestSimulate:
         assert 0 < doc["results"]["stderr"] < doc["results"]["mean"] < math.inf
 
     def test_values_that_overflow_at_rate_one(self):
-        # |D|^100 at rate 1 reaches ~1e167 and its square overflows; divided
+        # |D|^100 at rate 1 reaches ~1e170 and its square overflows; divided
         # by lambda = 100 before the power, every value is far inside range.
+        # The draw does not depend on the rate, so the mean is the rate-1
+        # mean over 100^100, not over 100 as with the power taken first.
         doc = json_out("simulate", "--k", "100", "--b", "100", "--lambda", "100",
                        "--samples", "1000", "--seed", "1")
-        assert 0 < doc["results"]["stderr"] < doc["results"]["mean"] < 1e-30
+        at_rate_one = oracles.mc_moment(100, 0, 100.0, 1.0, 1000, 1)
+        assert 0 < doc["results"]["stderr"] < doc["results"]["mean"]
+        assert doc["results"]["mean"] == pytest.approx(
+            at_rate_one.mean / 100.0 ** 100, rel=1e-12, abs=0)
+
+    def test_a_shape_of_a_million_draws_one_variate_per_arrival(self):
+        # As sums of gaps, these arrival times would hash ~2e10 uniforms;
+        # each is one Gamma variate instead.  r = 1 keeps the exact moment
+        # off the r = 0 diagonal cross-check, whose Pochhammer product of
+        # 10^6 factors takes minutes.
+        doc = json_out("simulate", "--k", "1000000", "--r", "1", "--b", "2",
+                       "--samples", "10000")
+        assert abs(doc["results"]["zscore"]) <= 4
 
     @pytest.mark.parametrize("value", ["77", "abc"])
     def test_seed_defaults_to_0_whatever_the_environment(self, value):

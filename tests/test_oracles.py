@@ -43,8 +43,8 @@ def _reference_uniforms(words):
     return (np.uint64(1 << 52) - (words >> np.uint64(12))).astype(float) * 2.0 ** -52
 
 
-def _reference_gaps(seed, streams, n):
-    """Exp(1) gaps -log(V) of counters 0..n-1 of each stream, as one
+def _reference_block(seed, streams, n):
+    """The uniforms V of counters 0..n-1 of each stream, as one
     (len(streams), n) block: splitmix64 in plain numpy over whole rows,
     sharing no code with prng."""
     def mix(z):
@@ -58,7 +58,60 @@ def _reference_gaps(seed, streams, n):
                ^ seed_hash)
     words = mix(keys[:, None]
                 + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
-    return -np.log(_reference_uniforms(words))
+    return _reference_uniforms(words)
+
+
+def _reference_gaps(seed, streams, n):
+    """Exp(1) gaps -log(V) of counters 0..n-1 of each stream, as one
+    (len(streams), n) block of _reference_block."""
+    return -np.log(_reference_block(seed, streams, n))
+
+
+# The declared route: arrival times of a shape up to 12 are sums of gaps,
+# of a larger shape Gamma variates.
+_GAP_SHAPES = 12
+
+
+def _reference_gamma(seed, streams, shape):
+    """Marsaglia & Tsang's Gamma(shape) variate of each stream, and the
+    index of the attempt that gave it, from whole blocks of
+    _reference_block: attempt j takes the normal from counters 3j and 3j+1
+    and the test's uniform from 3j+2.  The float steps are those of
+    oracles.gamma_variates, one numpy ufunc each on contiguous columns, so
+    the bits match under any SIMD dispatch of log and sin."""
+    d = shape - 1 / 3
+    c = 1 / math.sqrt(9 * d)
+    attempts = 4
+    while True:
+        v = _reference_block(seed, streams, 3 * attempts)
+        out = np.full(len(streams), np.nan)
+        took = np.full(len(streams), -1)
+        for j in range(attempts):
+            v1, v2, v3 = (np.ascontiguousarray(v[:, 3 * j + i]) for i in range(3))
+            x = np.sqrt(np.log(v1) * -2.0) * np.sin((v2 - 0.5) * math.pi)
+            t = x * c + 1.0
+            cube = t * t * t
+            passed = (np.log(v3) - np.square(x) * 0.5
+                      < (np.log(cube) - cube + 1.0) * d)
+            new = passed & (took < 0)
+            out[new] = (cube * d)[new]
+            took[new] = j
+        if np.all(took >= 0):
+            return out, took
+        attempts *= 2
+
+
+def _reference_arrivals(seed, streams, shape):
+    """Minus each stream's arrival time of the given shape, on its route."""
+    if shape <= _GAP_SHAPES:
+        return -_row_sums(_reference_gaps(seed, streams, shape))
+    return -_reference_gamma(seed, streams, shape)[0]
+
+
+def _block_width(k, r):
+    """The row width mc_moment gives blocked_estimate: the uniforms a stream
+    draws per row, a Gamma attempt's 3 for a shape above 12."""
+    return max(s if s <= _GAP_SHAPES else 3 for s in (k + r, k))
 
 
 class TestFirstPrinciplesOracle:
@@ -419,6 +472,25 @@ class TestMcMoment:
             est = mc_moment(1, 0, 1000.0, 1.0, 200, seed=1)
             assert (est.mean, est.stderr) == (math.inf, math.inf)
 
+    @pytest.mark.parametrize("k, r", [(2.5, 0), (2, 0.5), (20.5, 0), (12, 8.5)])
+    def test_rejects_non_integer_indices(self, k, r):
+        # Shape 2.5 on gaps; 20.5 on the Gamma route, where it would draw a
+        # Gamma(20.5) variate, which is no arrival time.
+        with pytest.raises(ValueError, match="must be integers"):
+            mc_moment(k, r, 1.0, 1.0, 10, seed=0)
+
+    @pytest.mark.parametrize("k, r", [(12, 0), (6, 6), (1, 12), (12, 1),
+                                      (1, 13), (13, 0)])
+    def test_the_route_depends_only_on_the_shape(self, k, r, monkeypatch):
+        # Arrival times of shape up to 12 are sums of gaps, larger ones Gamma
+        # variates: every row, and the estimate over blocks of the declared
+        # width, against the references.
+        seen = TestFusedSamplers._spy(oracles, monkeypatch)
+        est = mc_moment(k, r, 1.0, 1.0, 3000, 7)
+        reference = _reference_distances(7, k, r, 1.0, 1.0)
+        assert _hex(seen[-1](0, 3000)) == _hex(reference(0, 3000))
+        assert est == blocked_estimate(reference, 3000, _block_width(k, r))
+
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             mc_moment(1, 0, 1.0, 1.0, 1, seed=0)
@@ -432,6 +504,63 @@ class TestMcMoment:
             mc_moment(1, 0, math.inf, 1.0, 10, seed=0)
         with pytest.raises(ValueError):
             mc_moment(1, 0, 1.0, math.inf, 10, seed=0)
+
+
+def _gap_estimate(width, rows):
+    """blocked_estimate of the gap sums of streams 0..rows-1 at seed 0."""
+    return blocked_estimate(
+        lambda lo, hi: oracles.gap_sums(0, np.arange(lo, hi, dtype=np.uint64),
+                                        width), rows, width)
+
+
+# Streams of seed 5 whose Gamma(13) variate takes three attempts.
+_THIRD_ATTEMPT = [424950, 469138, 495984]
+
+
+class TestGammaVariates:
+    @pytest.mark.parametrize("tile", [1, 2, 7, prng._TILE])
+    @pytest.mark.parametrize("shape", [13, 50, 10 ** 4])
+    def test_rows_match_the_reference(self, shape, tile, monkeypatch):
+        # By float.hex, on streams of which, at shape 13, some take a second
+        # attempt and three a third.  Narrow tiles split attempts: in 1- and
+        # 2-word tiles every attempt spans column tiles and later attempts
+        # skip whole tiles; in 7-word tiles the third attempt's counters
+        # 6..8 span two.
+        rows = {1: 300, 2: 300, 7: 2000}.get(tile, 30_000)
+        monkeypatch.setattr(prng, "_TILE", tile)
+        streams = np.array([*range(rows), *_THIRD_ATTEMPT], dtype=np.uint64)
+        want, took = _reference_gamma(5, streams, shape)
+        if shape == 13:
+            assert np.all(took[-3:] == 2)
+            assert tile < 7 or np.count_nonzero(took == 1) >= 3
+        assert _hex(oracles.gamma_variates(5, streams, shape)) == _hex(want)
+
+    @pytest.mark.parametrize("shape", [13, 14, 10 ** 4])
+    def test_mean_and_variance_are_the_shape(self, shape):
+        # z-tests of 4e5 variates: a sample variance has variance
+        # (mu4 - s^2) / n, with mu4 = 3 s^2 + 6 s for Gamma(s).
+        n = 400_000
+        g = oracles.gamma_variates(11, np.arange(n, dtype=np.uint64), shape)
+        z_mean = (np.mean(g) - shape) / math.sqrt(shape / n)
+        z_var = ((np.var(g, ddof=1) - shape)
+                 / math.sqrt((2 * shape ** 2 + 6 * shape) / n))
+        assert abs(z_mean) < 4 and abs(z_var) < 4, (z_mean, z_var)
+
+    @pytest.mark.parametrize("shape", [13, 10 ** 6])
+    def test_peak_is_three_row_vectors_and_two_tiles(self, shape):
+        # Per row, the output and the walk's keys with their scratch; then
+        # the tile walk's buffer, a tile and its scratch, in which each
+        # attempt is computed.  Nothing grows with the shape.
+        rows = 1 << 16
+        streams = np.arange(rows, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            oracles.gamma_variates(0, streams, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tile = prng._TILE * 8
+        assert peak <= 3 * rows * 8 + 2 * tile, peak / tile
 
 
 class TestBlockedEstimate:
@@ -452,15 +581,17 @@ class TestBlockedEstimate:
                 np.std(v / scale, ddof=1) / math.sqrt(5000), rel=1e-9)
 
     @pytest.mark.parametrize("run, tiles", [
+        (lambda: _gap_estimate(4000, 4096), 2.5),
         (lambda: mc_moment(4000, 0, 1.0, 1.0, 4096, 0), 2.5),
         (lambda: mc_sorted_cost(4096, 1.0, 4096, 0), 3.5),
-    ], ids=["mc_moment", "mc_sorted_cost"])
+    ], ids=["gap_sums", "mc_moment", "mc_sorted_cost"])
     def test_peak_in_block_arrays(self, run, tiles, monkeypatch):
         # Each draw is hashed, converted, transformed and summed one tile of
         # whole rows at a time, and only per-row results leave the tile: a
-        # slice of mc_moment holds 2 tiles (the draws and the scratch),
+        # slice of gap sums holds 2 tiles (the draws and the scratch),
         # mc_sorted_cost 3 (x's and y's draws and the scratch), and the
-        # rest of the half tile per slice is per-row vectors.
+        # rest of the half tile per slice is per-row vectors.  mc_moment
+        # draws these rows as Gamma variates, in tiles 3 words wide.
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             tracemalloc.start()
@@ -473,13 +604,15 @@ class TestBlockedEstimate:
             assert peak <= workers * tiles * tile, (workers, peak / tile)
 
     @pytest.mark.parametrize("run", [
+        lambda: _gap_estimate((1 << 22) + 1, 2),
         lambda: mc_moment(1 << 22, 1, 1.0, 1.0, 2, 0),
         lambda: mc_sorted_cost((1 << 22) + 1, 1.0, 2, 0),
-    ], ids=["mc_moment", "mc_sorted_cost"])
+    ], ids=["gap_sums", "mc_moment", "mc_sorted_cost"])
     def test_peak_above_a_block_of_columns(self, run):
         # A row of 2^22 + 1 gaps is drawn and summed one column tile at a
         # time, so nothing row-sized is allocated: a few tiles and, when a
-        # pool samples the row, the pool's first import.
+        # pool samples the row, the pool's first import.  mc_moment draws
+        # a shape of 2^22 + 1 as one Gamma variate.
         tracemalloc.start()
         try:
             run()
@@ -531,15 +664,23 @@ class TestBlockedEstimate:
             assert starts == {0, 1 << 12, 2 << 12, 3 << 12}, (workers, seen)
 
     _WORKER_RUNS = {
-        # k + r = 272: 15420 rows per block, so 5 blocks, the last short
-        "several-blocks": lambda: mc_moment(256, 16, 1.5, 1.0, 65536, 3),
+        # Gamma route: blocks at the 2^16-row cap, then a 5-row block, with
+        # rows that take a second attempt in each slice of 2 workers
+        "several-blocks": lambda: mc_moment(256, 16, 1.5, 1.0,
+                                            2 * (1 << 16) + 5, 3),
+        # X of shape 15 on the Gamma route, Y of shape 10 on gaps
+        "gamma-and-gaps": lambda: mc_moment(10, 5, 2.5, 1.0, 40_000, 4),
+        # width 272: 15420 rows per block, so 3 blocks, the last short
+        "sorted-cost-several-blocks": lambda: mc_sorted_cost(
+            272, 1.5, 2 * 15420 + 5, 3),
         # width 2: blocks at the 2^16-row cap, then a 5-row block
         "row-cap": lambda: mc_moment(1, 1, 2.5, 0.5, 3 * (1 << 16) + 5, 8),
         "fewer-rows-than-workers": lambda: mc_moment(2, 1, 1.5, 1.0, 2, 6),
-        # width 100, 655 rows per tile: slices of 656 rows (2 workers) end
-        # in a one-row tile.  At these seeds a lone row summed pairwise, not
-        # in counter order, changes the estimate's last bits.
-        "one-row-tiles": lambda: mc_moment(100, 0, 1.5, 1.0, 1312, 11),
+        # width 12, the widest on gaps, 5461 rows per tile: slices of 5462
+        # rows (2 workers) end in a one-row tile.  At this seed and b a
+        # lone row summed pairwise, not in counter order, changes the
+        # estimate's last bits.
+        "one-row-tiles": lambda: mc_moment(12, 0, 2.5, 1.0, 2 * 5462, 41),
         "sorted-cost-one-row-tiles": lambda: mc_sorted_cost(100, 1.5, 1312, 33),
         "sorted-cost": lambda: mc_sorted_cost(100, 1.5, 5000, 4),
         "scaling": lambda: scaling_experiment(1.0, [8, 16, 32], 300, 2),
@@ -580,8 +721,8 @@ def _row_sums(a):
 def _reference_distances(seed, k, r, b, lam):
     def sample(lo, hi):
         pairs = np.arange(lo, hi, dtype=np.uint64)
-        x = _row_sums(_reference_gaps(seed, 2 * pairs, k + r))
-        y = _row_sums(_reference_gaps(seed, 2 * pairs + 1, k))
+        x = _reference_arrivals(seed, 2 * pairs, k + r)
+        y = _reference_arrivals(seed, 2 * pairs + 1, k)
         return (np.abs(x - y) / lam) ** b
     return sample
 
@@ -616,8 +757,10 @@ def _exact_costs(seed, n, rows):
 
 class TestFusedSamplers:
     """Each sampler's rows and estimate against the same expressions on
-    whole blocks of _reference_gaps, which shares no code with prng, by
-    float.hex, for any tile and thread count."""
+    whole blocks of _reference_gaps and _reference_gamma, which share no
+    code with prng, by float.hex, for any tile and thread count.  gap_sums
+    is checked directly too, since mc_moment draws a row wider than 12
+    as a Gamma variate."""
 
     @staticmethod
     def _spy(module, monkeypatch):
@@ -634,34 +777,49 @@ class TestFusedSamplers:
     def _check(self, sampler, width, rows, monkeypatch):
         from poisson_moments import matching_lab
 
-        if sampler == "mc_moment":
-            r = min(10, width - 1)
-            module, reference = oracles, _reference_distances(5, width - r, r,
-                                                              1.5, 0.5)
-            run = lambda: mc_moment(width - r, r, 1.5, 0.5, rows, 5)
+        blocks = width
+        if sampler == "gap_sums":
+            streams = np.arange(rows, dtype=np.uint64)
+            sample = lambda lo, hi: oracles.gap_sums(5, streams[lo:hi], width)
+            reference = lambda lo, hi: -_row_sums(
+                _reference_gaps(5, streams[lo:hi], width))
+            run = lambda: blocked_estimate(sample, rows, width)
+            seen = [sample]
         else:
-            module, reference = matching_lab, _reference_costs(5, width, 2.0, 3)
-            run = lambda: mc_sorted_cost(width, 2.0, rows, 5, stream_offset=3)
-        seen = self._spy(module, monkeypatch)
+            if sampler == "mc_moment":
+                r = min(10, width - 1)
+                blocks = _block_width(width - r, r)
+                module, reference = oracles, _reference_distances(
+                    5, width - r, r, 1.5, 0.5)
+                run = lambda: mc_moment(width - r, r, 1.5, 0.5, rows, 5)
+            else:
+                module, reference = matching_lab, _reference_costs(5, width,
+                                                                   2.0, 3)
+                run = lambda: mc_sorted_cost(width, 2.0, rows, 5,
+                                             stream_offset=3)
+            seen = self._spy(module, monkeypatch)
         want_rows = [x.hex() for x in reference(0, rows)]
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             est = run()
-            want = blocked_estimate(reference, rows, width)
+            want = blocked_estimate(reference, rows, blocks)
             assert [est.mean.hex(), est.stderr.hex()] == [
                 want.mean.hex(), want.stderr.hex()], workers
             assert [x.hex() for x in seen[-1](0, rows)] == want_rows
 
-    @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
+    @pytest.mark.parametrize("sampler", ["gap_sums", "mc_moment",
+                                         "mc_sorted_cost"])
     @pytest.mark.parametrize("width, rows", [
         (1, 70_000), (17, 70_000), (128, 33_000), (129, 33_000),
         (1000, 5000), (70_001, 3)])
     def test_matches_whole_blocks(self, sampler, width, rows, monkeypatch):
         # Two blocks (one at width 70,001, a row wider than a tile).  Rows
-        # of 128 words are the widest in counter-major tiles.
+        # of 128 words are the widest in counter-major tiles.  mc_moment
+        # draws X on the Gamma route from width 17 on, and Y from 128 on.
         self._check(sampler, width, rows, monkeypatch)
 
-    @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
+    @pytest.mark.parametrize("sampler", ["gap_sums", "mc_moment",
+                                         "mc_sorted_cost"])
     @pytest.mark.parametrize("width, rows", [(1, 20), (17, 5), (1000, 3)])
     def test_matches_whole_blocks_in_7_word_tiles(self, sampler, width, rows,
                                                   monkeypatch):
@@ -685,13 +843,15 @@ class TestFusedSamplers:
         assert got == pytest.approx(want, rel=2e-14, abs=0)
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
-    @pytest.mark.parametrize("sampler", ["mc_moment", "mc_sorted_cost"])
+    @pytest.mark.parametrize("sampler", ["gap_sums", "mc_moment",
+                                         "mc_sorted_cost"])
     def test_rows_wider_than_a_block_sum_column_chunks(self, sampler, tile,
                                                        monkeypatch):
         # With 64-uniform blocks, each block holds 3 rows of 17 or 1 row of
-        # 150.  With 7-word tiles, those rows add their tile sums in order
-        # and carry their running sums from tile to tile; with full tiles
-        # each row is one tile.
+        # 150 (mc_moment's Gamma rows, 3 uniforms wide, more).  With 7-word
+        # tiles, those rows add their tile sums in order and carry their
+        # running sums from tile to tile; with full tiles each row is one
+        # tile.
         monkeypatch.setattr(prng, "_TILE", tile)
         monkeypatch.setattr(oracles, "_BLOCK_UNIFORMS", 64)
         for width in (17, 150):
