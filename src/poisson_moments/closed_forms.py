@@ -85,11 +85,13 @@ def diagonal_moment(k: int, a: int, lam: Rat | int = 1) -> MomentValue:
     """E|X_k - Y_k|^a = (a!/lambda^a) Gamma(a/2+k)/(Gamma(k) Gamma(a/2+1)).
 
     Valid for both parities of a: the Gamma ratio is the Pochhammer
-    quotient (a/2+1)_{k-1} / (k-1)!, a plain rational.
+    quotient (a/2+1)_{k-1} / (k-1)!, a plain rational, and for even a the
+    binomial C(k-1+a/2, a/2), a product of a/2 factors whatever k.
     """
     lam = _checked_rate(lam, k=k, a=a)
-    return MomentValue(math.factorial(a) * pochhammer(Rat(a, 2) + 1, k - 1)
-                       / math.factorial(k - 1) / lam ** a)
+    ratio = (math.comb(k - 1 + a // 2, a // 2) if a % 2 == 0
+             else pochhammer(Rat(a, 2) + 1, k - 1) / math.factorial(k - 1))
+    return MomentValue(math.factorial(a) * ratio / lam ** a)
 
 
 def odd_moment_lemma2(i: int, k: int, a: int, lam: Rat | int = 1) -> MomentValue:
@@ -175,7 +177,7 @@ def moment(q: MomentQuery) -> MomentValue:
 
 
 def sum_moments(n: int, a: int, lam: Rat | int = 1) -> MomentValue:
-    """sum_{k=1..n} E|X_k - Y_k|^a = (a!/lambda^a) (a/2+1)_n / n! * 2n/(2+a)."""
-    lam = _checked_rate(lam, n=n, a=a)
-    return MomentValue(math.factorial(a) * pochhammer(Rat(a, 2) + 1, n)
-                       / math.factorial(n) * Rat(2 * n, 2 + a) / lam ** a)
+    """sum_{k=1..n} E|X_k - Y_k|^a = E|X_{n+1} - Y_{n+1}|^a * 2n/(2+a)."""
+    _checked_rate(lam, n=n, a=a)  # n >= 1, which n + 1 below would not check
+    return MomentValue(diagonal_moment(n + 1, a, lam).value
+                       * Rat(2 * n, 2 + a))

@@ -18,15 +18,14 @@ sampler never holds a block-sized or row-sized array: it turns each
 cache-sized tile that `prng.tiles` draws (of whole rows, or of one wide
 row's columns) into gaps or Gamma attempts, transforms it and keeps its
 per-row results (row sums by `prng.add_row_sums`, in the order prng
-fixes) before the next.  Each
-block's rows are sampled as contiguous slices, one per CPU the process
-may run on (fewer for a small block), the first on the calling thread
-and the rest on a thread pool, and joined in row order.  Row i of every
-sampler is a pure function of its stream addresses (the PRNG is
-counter-based, every sum and running sum runs along the row, and a Gamma
-attempt reads its own row's counters alone), so the
-block, and with it every mean and stderr, is bit-identical for any
-number of threads.
+fixes) before the next.  Each block's rows are sampled as contiguous
+slices, one per CPU the process may run on (fewer for a small block, and
+at most one per row), the first on the calling thread and the rest on a
+thread pool, and joined in row order.  Row i of every sampler is a pure
+function of its stream addresses (the PRNG is counter-based, every sum
+and running sum runs along the row, and a Gamma attempt reads its own
+row's counters alone), so the block, and with it every mean and stderr,
+is bit-identical for any number of threads.
 numpy is imported inside the functions that draw or reduce samples, and
 the thread pool only for blocks of several slices, so the exact oracle
 (and every caller that never samples) loads neither.
@@ -139,8 +138,8 @@ def gamma_variates(seed: int, streams: np.ndarray, shape: int) -> np.ndarray:
     cosine), V3 for the test log V3 - x^2/2 < d (1 - v + log v), where
     v = (1 + x / sqrt(9 d))^3; the first attempt that passes gives d v.
     As V1 >= 2^-52, |x| <= sqrt(104 log 2) < 8.5, so v > 0 for every such
-    shape.  Each attempt walks the rows still rejected through prng.tiles,
-    so a row is a function of its stream alone."""
+    shape.  Each attempt walks counters 3j..3j+2 of the rows still rejected
+    through prng.tiles, so a row is a function of its stream alone."""
     import numpy as np
 
     from .prng import tiles
@@ -152,20 +151,8 @@ def gamma_variates(seed: int, streams: np.ndarray, shape: int) -> np.ndarray:
     first = 0  # the attempt's first counter
     while len(draw):
         rejected = []
-        for r0, r1, c0, (v,) in tiles(seed, [draw], first + 3):
-            lo, hi = max(c0, first), c0 + v.shape[1]
-            if lo >= hi:
-                continue  # counters of earlier attempts alone
-            if hi - lo < 3:
-                # The attempt spans column tiles, which only tiles narrower
-                # than 3j + 3 words make: its counters are gathered first.
-                if lo == first:
-                    split = np.empty((3, r1 - r0))
-                split[lo - first:hi - first] = v[:, lo - c0:].T
-                if hi < first + 3:
-                    continue
-                v = split.T
-            x, t, u = v[:, -3:].T
+        for r0, r1, _, (v,) in tiles(seed, [draw], 3, first):
+            x, t, u = v.T
             np.log(x, out=x)  # x: the normal
             x *= -2.0
             np.sqrt(x, out=x)
@@ -211,12 +198,12 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
     """Mean and stderr of the values that sample(lo, hi) returns for rows
     lo..hi-1, where one stream draws `width` uniforms per row.  Each block
     is sampled as contiguous row slices, one per started `_SLICE_UNIFORMS`
-    uniforms up to `_WORKERS` (some empty when the block has fewer rows
-    than slices), the first on the calling thread and the rest on a pool,
-    and joined in row order (a one-slice block is reduced in the array
-    that sample returned); blocks are merged in order by their
-    (n, sum, M2) (Chan, Golub & LeVeque 1979).  Values beyond float range
-    come out as inf or nan, an M2 beyond it as stderr = inf.
+    uniforms up to `_WORKERS` and the block's row count, the first on the
+    calling thread and the rest on a pool, and joined in row order (a
+    one-slice block is reduced in the array that sample returned); blocks
+    are merged in order by their (n, sum, M2) (Chan, Golub & LeVeque 1979).
+    Values beyond float range come out as inf or nan, an M2 beyond it as
+    stderr = inf.
     """
     import numpy as np
 
@@ -226,7 +213,7 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
             return sample(lo, hi)
 
     def slices(lo: int, hi: int) -> int:
-        return min(_WORKERS, -(-(hi - lo) * width // _SLICE_UNIFORMS))
+        return min(_WORKERS, hi - lo, -(-(hi - lo) * width // _SLICE_UNIFORMS))
 
     step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
     blocks = []

@@ -8,14 +8,15 @@ streams drawn with it, and a column prefix equals the shorter block.  (The
 samplers' gaps go through numpy's `log`, whose last bits may differ
 between its SIMD kernels.)  The mixer is the splitmix64 finalizer applied
 to a Weyl sequence, evaluated vectorized in numpy.  `tiles` hashes and
-converts a draw one tile at a time, whole rows or a piece of one row, in
-place with one tile of scratch; tiles of `_TILE` words stay in cache.  It
-yields V = 1 - U in (0, 1], on the 2^-52 grid, whose log is minus a finite
-gap; `uniform_block` copies the tiles into one block.  This module alone
-decides the tile layout and, in `add_row_sums`, the row-sum order that
-goes with it: a row of at most `_TILE // _MAJOR_ROWS` = 128 words is
-stored counter-major and summed in counter order, a wider one pairwise,
-with the tile sums of a row wider than a tile added in column order.
+converts a draw, a window of counters of each stream, one tile at a time,
+whole rows or a piece of one row, in place with one tile of scratch;
+tiles of `_TILE` words stay in cache.  It yields V = 1 - U in (0, 1], on
+the 2^-52 grid, whose log is minus a finite gap; `uniform_block` copies
+the tiles into one block.  This module alone decides the tile layout and,
+in `add_row_sums`, the row-sum order that goes with it: a row of at most
+`_TILE // _MAJOR_ROWS` = 128 words is stored counter-major and summed in
+counter order, a wider one pairwise, with the tile sums of a row wider
+than a tile added in column order.
 """
 
 from __future__ import annotations
@@ -81,17 +82,17 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return np.subtract(2.0, f, out=f)
 
 
-def tiles(seed: int, streams: list, width: int):
-    """Walk the uniforms V in (0, 1] of counters 0..width-1 of each array of
-    streams in streams, one tile at a time: yield (r0, r1, c0, tiles), where
-    tiles holds, per array, the (r1 - r0, m) values V of its streams
-    r0..r1-1 at counters c0..c0+m-1.  A tile is whole rows, _TILE // width
-    of them (read at call time), or _TILE columns of a wider row; the walk
-    goes down the rows, and along each row's column tiles in order.  Where
-    a full tile holds at least _MAJOR_ROWS rows, every tile is stored
-    counter-major, each counter's values for all its rows together, and
-    yielded as the same (rows, m) view, transposed.  Each tile is
-    overwritten by the next."""
+def tiles(seed: int, streams: list, width: int, first: int = 0):
+    """Walk the uniforms V in (0, 1] of counters first..first+width-1 of
+    each array of streams in streams, one tile at a time: yield (r0, r1, c0,
+    tiles), where tiles holds, per array, the (r1 - r0, m) values V of its
+    streams r0..r1-1 at counters first+c0..first+c0+m-1.  A tile is whole
+    rows, _TILE // width of them (read at call time), or _TILE columns of a
+    wider row; the walk goes down the rows, and along each row's column
+    tiles in order.  Where a full tile holds at least _MAJOR_ROWS rows,
+    every tile is stored counter-major, each counter's values for all its
+    rows together, and yielded as the same (rows, m) view, transposed.
+    Each tile is overwritten by the next."""
     keys = [stream_keys(seed, s) for s in streams]
     rows = len(keys[0])
     cols = min(width, _TILE) or 1        # columns per tile
@@ -112,8 +113,8 @@ def tiles(seed: int, streams: list, width: int):
             out = []
             for b, k in zip(buf, keys):
                 k = k[r0:r1]
-                if c0:
-                    k = k + np.uint64(c0 * int(_GOLDEN) & _MASK)
+                if first + c0:
+                    k = k + np.uint64((first + c0) * int(_GOLDEN) & _MASK)
                 words = b[:(r1 - r0) * m]
                 tile = (words.reshape(m, r1 - r0).T if major
                         else words.reshape(r1 - r0, m))

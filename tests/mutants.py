@@ -12,8 +12,10 @@ directory, the one occurrence of the mutant's old text in its file is
 replaced by the new text, and only its named tests run, with the copy as
 PYTHONPATH.  The runner fails when an old text is missing or not unique
 (an edit of the source must update this list), when pytest cannot run a
-named test, and when a mutant survives: when any of its named tests still
-passes.  It is not a tier-1 test file, so pytest does not collect it.
+named test, when a pytest run does not finish within `_TIMEOUT` seconds
+(a mutant that does so is reported as hanging, never as killed), and
+when a mutant survives: when any of its named tests still passes.  It is
+not a tier-1 test file, so pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Seconds per pytest run; the named tests of any one mutant take seconds.
+_TIMEOUT = 300
 
 Mutant = namedtuple("Mutant", "name file old new tests")
 
@@ -74,8 +78,9 @@ MUTANTS = [
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
             "[17-70000-mc_sorted_cost]"]),
     Mutant("no-per-tile-key-offset", _PRNG,
-           "                if c0:\n"
-           "                    k = k + np.uint64(c0 * int(_GOLDEN) & _MASK)\n",
+           "                if first + c0:\n"
+           "                    k = k + np.uint64((first + c0) * int(_GOLDEN)"
+           " & _MASK)\n",
            "",
            [_ORACLES + "TestPrng::test_kernel_matches_the_reference[0-17-7]",
             _ORACLES + "TestPrng::test_kernel_matches_the_reference[7-1000-7]",
@@ -83,6 +88,18 @@ MUTANTS = [
             "[70001-3-gap_sums]",
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
             "[70001-3-mc_sorted_cost]"]),
+    # Shifts every window and later column tile by one counter.  (Dropping
+    # first from the offset instead would redraw a rejected Gamma row's
+    # counters 0..2 forever.)
+    Mutant("window-one-counter-late", _PRNG,
+           "(first + c0) * int(_GOLDEN)", "(first + c0 + 1) * int(_GOLDEN)",
+           [_ORACLES + "TestPrng::test_a_window_is_the_block_past_its_first_"
+            f"counter[{case}]"
+            for case in ("7-17-0", "65536-3-1", "65536-65537-70000")]
+           + [_ORACLES + "TestGammaVariates::test_rows_match_the_reference"
+              "[13-65536]",
+              _ORACLES + "TestGammaVariates::test_each_attempt_walks_its_own_"
+              "three_counters"]),
     Mutant("sorted-cost-drops-the-carry", "poisson_moments/matching_lab.py",
            "            if c0:\n"
            "                x[:, 0] += carry\n",
@@ -132,6 +149,15 @@ MUTANTS = [
            "        first += 3\n", "        first += 2\n",
            [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
             for s in ("13-7", "13-65536")]),
+    Mutant("diagonal-one-factor-up", _CLOSED,
+           "k - 1 + a // 2", "k + a // 2",
+           ["tests/test_closed_forms.py::TestSpotValues::test_diagonal_examples",
+            "tests/test_closed_forms.py::TestSpotValues::test_even_diagonal_at_"
+            "a_million",
+            "tests/test_closed_forms.py::TestSpotValues::test_sum_examples",
+            "tests/test_acceptance.py::test_criterion_2_diagonal_gamma_formula",
+            "tests/test_cli.py::TestSimulate::test_a_diagonal_shape_of_a_"
+            "million_has_an_exact_value"]),
     Mutant("terms-sign-flip", _CLOSED,
            "binomial(a, j) * (-1) ** j *", "binomial(a, j) * (-1) ** (j + 1) *",
            _TERMS_TESTS),
@@ -150,14 +176,19 @@ MUTANTS = [
 ]
 
 
-def failures(src: Path, tests: list) -> set:
+def failures(src: Path, tests: list) -> set | None:
     """The ids among tests that fail or error with src as the package
-    source; exits when pytest cannot run them."""
+    source, or None when pytest does not finish within _TIMEOUT seconds;
+    exits when pytest cannot run them."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "-rfE", *tests],
-        cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "-rfE", *tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=_TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None
     if proc.returncode not in (0, 1):
         sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
     return {line.split()[1] for line in proc.stdout.splitlines()
@@ -170,9 +201,13 @@ def main(names: list) -> int:
         sys.exit(f"unknown mutants: {sorted(set(names) - known)}")
     mutants = [m for m in MUTANTS if not names or m.name in names]
     tests = sorted({t for m in mutants for t in m.tests})
-    if failing := failures(ROOT / "src", tests):
+    failing = failures(ROOT / "src", tests)
+    if failing is None:
+        sys.exit(f"named tests hang on the unmutated source: no result in "
+                 f"{_TIMEOUT} s")
+    if failing:
         sys.exit(f"named tests fail on the unmutated source: {sorted(failing)}")
-    survivors = []
+    survivors, hung = [], []
     for m in mutants:
         with tempfile.TemporaryDirectory() as tmp:
             src = Path(tmp) / "src"
@@ -184,7 +219,12 @@ def main(names: list) -> int:
                 sys.exit(f"{m.name}: the old text occurs {text.count(m.old)} "
                          f"times in {m.file}, not once")
             path.write_text(text.replace(m.old, m.new))
-            passed = sorted(set(m.tests) - failures(src, m.tests))
+            failing = failures(src, m.tests)
+        if failing is None:
+            print(f"{m.name}: hangs (no result in {_TIMEOUT} s)")
+            hung.append(m.name)
+            continue
+        passed = sorted(set(m.tests) - failing)
         print(f"{m.name}: {'SURVIVED' if passed else 'killed'}"
               f" ({len(m.tests) - len(passed)}/{len(m.tests)} named tests fail)")
         for t in passed:
@@ -194,7 +234,9 @@ def main(names: list) -> int:
     if survivors:
         print(f"{len(survivors)} of {len(mutants)} mutants survived: "
               + ", ".join(survivors))
-    return 1 if survivors else 0
+    if hung:
+        print(f"{len(hung)} of {len(mutants)} mutants hang: " + ", ".join(hung))
+    return 1 if survivors or hung else 0
 
 
 if __name__ == "__main__":

@@ -247,11 +247,18 @@ class TestSimulate:
 
     def test_a_shape_of_a_million_draws_one_variate_per_arrival(self):
         # As sums of gaps, these arrival times would hash ~2e10 uniforms;
-        # each is one Gamma variate instead.  r = 1 keeps the exact moment
-        # off the r = 0 diagonal cross-check, whose Pochhammer product of
-        # 10^6 factors takes minutes.
+        # each is one Gamma variate instead.
         doc = json_out("simulate", "--k", "1000000", "--r", "1", "--b", "2",
                        "--samples", "10000")
+        assert abs(doc["results"]["zscore"]) <= 4
+
+    def test_a_diagonal_shape_of_a_million_has_an_exact_value(self):
+        # r = 0: moment cross-checks the even form against the diagonal
+        # one, whose Gamma ratio for even b is C(k - 1 + b/2, b/2), b/2
+        # factors, not a Pochhammer product of k - 1.
+        doc = json_out("simulate", "--k", "1000000", "--b", "2",
+                       "--samples", "10000")
+        assert doc["results"]["exact"]["num"] == "2000000"
         assert abs(doc["results"]["zscore"]) <= 4
 
     @pytest.mark.parametrize("value", ["77", "abc"])

@@ -30,6 +30,13 @@ class TestSpotValues:
         assert diagonal_moment(2, 1).value == Fraction(3, 2)
         assert diagonal_moment(3, 2, 2).value == Fraction(3, 2)
 
+    def test_even_diagonal_at_a_million(self):
+        # E|X_k - Y_k|^2 = 2k and E|X_k - Y_k|^4 = 12 k (k + 1): a product
+        # of a/2 factors, not of k - 1.
+        k = 10 ** 6
+        assert diagonal_moment(k, 2).value == 2 * k
+        assert diagonal_moment(k, 4).value == 12 * k * (k + 1)
+
     def test_lemma2_examples(self):
         assert odd_moment_lemma2(1, 1, 1).value == 1
         assert odd_moment_lemma2(2, 1, 1).value == Fraction(3, 2)

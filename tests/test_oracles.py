@@ -354,6 +354,25 @@ class TestPrng:
             assert (_hex(sample_arrivals(width, 0.5, seed, s))
                     == _hex(np.cumsum(row) / 0.5))
 
+    @pytest.mark.parametrize("first", [0, 1, 3, 70_000])
+    @pytest.mark.parametrize("tile, width", [
+        (7, 3), (7, 17), (prng._TILE, 3), (prng._TILE, 17),
+        (prng._TILE, prng._TILE + 1)])
+    def test_a_window_is_the_block_past_its_first_counter(
+            self, first, tile, width, monkeypatch):
+        # Counters first..first+width-1 of uniform_block's rows, by
+        # float.hex against the reference block, which shares no code with
+        # prng's key offsets; at widths 17 in 7-word tiles and 2^16 + 1 in
+        # full ones the window spans column tiles, and at first = 70,000 it
+        # starts past a full tile.
+        streams = [0, 1, 12345]
+        want = _reference_block(7, streams, first + width)[:, first:]
+        monkeypatch.setattr(prng, "_TILE", tile)
+        got = np.full((len(streams), width), np.nan)
+        for r0, r1, c0, (u,) in prng.tiles(7, [streams], width, first):
+            got[r0:r1, c0:c0 + u.shape[1]] = u
+        assert _hex(got) == _hex(want)
+
 
 @pytest.mark.parametrize("width", [8, 17, 100, 128, 129])
 def test_gap_sums_do_not_depend_on_the_split(width, monkeypatch):
@@ -518,22 +537,38 @@ _THIRD_ATTEMPT = [424950, 469138, 495984]
 
 
 class TestGammaVariates:
-    @pytest.mark.parametrize("tile", [1, 2, 7, prng._TILE])
+    @pytest.mark.parametrize("tile", [7, prng._TILE])
     @pytest.mark.parametrize("shape", [13, 50, 10 ** 4])
     def test_rows_match_the_reference(self, shape, tile, monkeypatch):
         # By float.hex, on streams of which, at shape 13, some take a second
-        # attempt and three a third.  Narrow tiles split attempts: in 1- and
-        # 2-word tiles every attempt spans column tiles and later attempts
-        # skip whole tiles; in 7-word tiles the third attempt's counters
-        # 6..8 span two.
-        rows = {1: 300, 2: 300, 7: 2000}.get(tile, 30_000)
+        # attempt and three a third.  7-word tiles hold two rows of an
+        # attempt's 3 counters, so every attempt's walk ends in a short tile
+        # when its row count is odd.
+        rows = 2000 if tile == 7 else 30_000
         monkeypatch.setattr(prng, "_TILE", tile)
         streams = np.array([*range(rows), *_THIRD_ATTEMPT], dtype=np.uint64)
         want, took = _reference_gamma(5, streams, shape)
         if shape == 13:
             assert np.all(took[-3:] == 2)
-            assert tile < 7 or np.count_nonzero(took == 1) >= 3
+            assert np.count_nonzero(took == 1) >= 3
         assert _hex(oracles.gamma_variates(5, streams, shape)) == _hex(want)
+
+    def test_each_attempt_walks_its_own_three_counters(self, monkeypatch):
+        # Attempt j hashes counters 3j..3j+2 of the rows still rejected, and
+        # no counter of an earlier attempt; the rows match the reference.
+        walks = []
+
+        def spy(seed, streams, width, first=0):
+            walks.append((len(streams[0]), width, first))
+            return tiles(seed, streams, width, first)
+
+        tiles = prng.tiles
+        monkeypatch.setattr(prng, "tiles", spy)
+        streams = np.array([*range(2000), *_THIRD_ATTEMPT], dtype=np.uint64)
+        want, took = _reference_gamma(5, streams, 13)
+        assert _hex(oracles.gamma_variates(5, streams, 13)) == _hex(want)
+        assert walks == [(np.count_nonzero(took >= j), 3, 3 * j)
+                         for j in range(3)]
 
     @pytest.mark.parametrize("shape", [13, 14, 10 ** 4])
     def test_mean_and_variance_are_the_shape(self, shape):
@@ -610,9 +645,9 @@ class TestBlockedEstimate:
     ], ids=["gap_sums", "mc_moment", "mc_sorted_cost"])
     def test_peak_above_a_block_of_columns(self, run):
         # A row of 2^22 + 1 gaps is drawn and summed one column tile at a
-        # time, so nothing row-sized is allocated: a few tiles and, when a
-        # pool samples the row, the pool's first import.  mc_moment draws
-        # a shape of 2^22 + 1 as one Gamma variate.
+        # time, so nothing row-sized is allocated: a few tiles.  Such a row
+        # is a block of its own, sampled on the calling thread.  mc_moment
+        # draws a shape of 2^22 + 1 as one Gamma variate.
         tracemalloc.start()
         try:
             run()
@@ -662,6 +697,26 @@ class TestBlockedEstimate:
             assert sorted((lo, hi) for lo, hi, t in seen) == calls[workers]
             starts = {lo for lo, hi, t in seen if t == main}
             assert starts == {0, 1 << 12, 2 << 12, 3 << 12}, (workers, seen)
+
+    @pytest.mark.parametrize("rows, width, calls", [
+        (2, 1 << 20, [(0, 1), (1, 2)]),
+        (3, 1 << 22, [(0, 1), (1, 2), (2, 3)]),
+    ], ids=["two-row-block", "one-row-blocks"])
+    def test_no_slice_is_empty(self, rows, width, calls, monkeypatch):
+        # Three workers, and enough uniforms per row for a slice each: a
+        # block of 2 rows gets 2 slices, and rows of 2^22 uniforms, blocks
+        # of their own, get one each, all on the calling thread.
+        def sample(lo, hi):
+            seen.append((lo, hi, threading.get_ident()))
+            return np.ones(hi - lo)
+
+        monkeypatch.setattr(oracles, "_WORKERS", 3)
+        seen = []
+        est = blocked_estimate(sample, rows, width)
+        assert (est.mean, est.stderr) == (1.0, 0.0)
+        assert sorted((lo, hi) for lo, hi, t in seen) == calls
+        if rows == 3:
+            assert {t for lo, hi, t in seen} == {threading.get_ident()}
 
     _WORKER_RUNS = {
         # Gamma route: blocks at the 2^16-row cap, then a 5-row block, with
