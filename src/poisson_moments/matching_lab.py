@@ -4,10 +4,10 @@ Samples pairs of Poisson point sets, computes the index-sorted matching
 cost sum |X_k - Y_k|^b, verifies optimality against a brute-force
 permutation oracle at small n, and fits the empirical cost-versus-n
 scaling law with the rate coupled as lambda = n.  Sorted costs are drawn
-from rate-1 gaps, each distance divided by n before it is raised to b,
-one cache-sized tile of `prng.tiles` at a time, with X_k - Y_k one
-running sum of the gap differences, carried across the tiles of a wide
-row, and summed by `prng.add_row_sums`; `oracles.blocked_estimate`
+at rate 1, each distance divided by n before it is raised to b, one
+cache-sized tile of `prng.tiles` at a time, with X_k - Y_k one running
+sum of signed steps E - E' (one word each), carried across the tiles of
+a wide row, and summed by `prng.add_row_sums`; `oracles.blocked_estimate`
 reduces the per-trial costs, so memory stays bounded whatever n or trials
 is.  numpy and prng load only in the functions that sample or fit, so
 the exact expected cost and the brute-force oracle do without them.
@@ -88,8 +88,9 @@ def sample_matching_run(n: int, b: float, seed: int,
 def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
                    stream_offset: int = 0) -> MCEstimate:
     """Monte Carlo mean of the sorted matching cost at lambda = n; trial t
-    uses streams 2(stream_offset+t) and 2(stream_offset+t)+1, so
-    stream_offset + trials may be at most 2^63."""
+    walks stream stream_offset+t, so stream_offset + trials may be at most
+    2^64.  Each step X_k - Y_k - (X_{k-1} - Y_{k-1}) = E - E' is one
+    signed step of that stream (prng.tiles), Laplace(0, 1) from one word."""
     import numpy as np
 
     from .prng import add_row_sums, tiles
@@ -98,21 +99,18 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
         raise ValueError(f"need at least 2 trials, got {trials}")
     if not (n >= 1 and 0 < b < math.inf):
         raise ValueError("require n >= 1, 0 < b < inf")
-    if not 0 <= stream_offset <= (1 << 63) - trials:
-        raise ValueError("require 0 <= stream_offset <= 2^63 - trials")
+    if not 0 <= stream_offset <= (1 << 64) - trials:
+        raise ValueError("require 0 <= stream_offset <= 2^64 - trials")
 
     def costs(lo: int, hi: int) -> np.ndarray:
-        # (|X - Y| / n) ** b in each tile of -gaps: the running sum of the
-        # gap differences x - y is -(X - Y), and rounds at its own size,
-        # ~sqrt(k), not at the arrival times', ~k.  A wide row carries it
-        # into the next tile's first difference.  **= takes numpy's
-        # scalar-power fast paths as ** does, so b = 2 stays a square.
-        pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
+        # (|X - Y| / n) ** b in each tile of signed steps: their running sum
+        # has the law of X - Y, and rounds at its own size, ~sqrt(k), not at
+        # the arrival times', ~k.  A wide row carries it into the next
+        # tile's first step.  **= takes numpy's scalar-power fast paths as
+        # ** does, so b = 2 stays a square.
+        streams = stream_offset + np.arange(lo, hi, dtype=np.uint64)
         sums = np.empty(hi - lo)
-        for r0, r1, c0, (x, y) in tiles(seed, [2 * pairs, 2 * pairs + 1], n):
-            np.log(x, out=x)
-            np.log(y, out=y)
-            x -= y
+        for r0, r1, c0, x in tiles(seed, streams, n, signed=n):
             if c0:
                 x[:, 0] += carry
             np.cumsum(x, axis=1, out=x)
@@ -130,7 +128,7 @@ def scaling_experiment(b: float, n_grid: list, trials: int,
                        seed: int) -> ScalingFit:
     """Mean sorted cost at lambda = n over n_grid, with a log-log OLS fit.
 
-    Grid point g uses stream pairs g*trials .. (g+1)*trials - 1, so every
+    Grid point g uses streams g*trials .. (g+1)*trials - 1, so every
     instance across the whole experiment has a distinct stream address.
     """
     import numpy as np

@@ -10,22 +10,24 @@ Two routes that share no code with the closed forms:
 
 Every Monte Carlo estimate draws arrival times at rate 1, divides each
 distance by the rate before raising it to b, and reduces the values with
-`blocked_estimate`, in blocks of bounded memory.  `mc_moment` sums an
-arrival time of shape (index) s <= `_GAP_SHAPES` from its s gaps, and
-draws a larger one as one Gamma(s) variate, by Marsaglia and Tsang's
-method from 3 uniforms per attempt (`gamma_variates`).  Within a block a
-sampler never holds a block-sized or row-sized array: it turns each
-cache-sized tile that `prng.tiles` draws (of whole rows, or of one wide
-row's columns) into gaps or Gamma attempts, transforms it and keeps its
-per-row results (row sums by `prng.add_row_sums`, in the order prng
-fixes) before the next.  Each block's rows are sampled as contiguous
-slices, one per CPU the process may run on (fewer for a small block, and
-at most one per row), the first on the calling thread and the rest on a
-thread pool, and joined in row order.  Row i of every sampler is a pure
-function of its stream addresses (the PRNG is counter-based, every sum
-and running sum runs along the row, and a Gamma attempt reads its own
-row's counters alone), so the block, and with it every mean and stderr,
-is bit-identical for any number of threads.
+`blocked_estimate`, in blocks of bounded memory.  `mc_moment` sums
+X_{k+r} - Y_k with k + r <= `_GAP_SHAPES` as k signed steps E - E' and r
+gaps of one stream, a word each; otherwise an arrival time of shape
+(index) s <= `_GAP_SHAPES` from its s gaps, and a larger one as one
+Gamma(s) variate, by Marsaglia and Tsang's method from 3 uniforms per
+attempt (`gamma_variates`).  Within a block a sampler never holds a
+block-sized or row-sized array: it turns each cache-sized tile that
+`prng.tiles` draws (of whole rows, or of one wide row's columns) into
+gaps or Gamma attempts, transforms it and keeps its per-row results (row
+sums by `prng.add_row_sums`, in the order prng fixes) before the next.
+Each block's rows are sampled as contiguous slices, one per CPU the
+process may run on (fewer for a small block, and at most one per row),
+the first on the calling thread and the rest on a thread pool, and
+joined in row order.  Row i of every sampler is a pure function of its
+stream addresses (the PRNG is counter-based, every sum and running sum
+runs along the row, and a Gamma attempt reads its own row's counters
+alone), so the block, and with it every mean and stderr, is
+bit-identical for any number of threads.
 numpy is imported inside the functions that draw or reduce samples, and
 the thread pool only for blocks of several slices, so the exact oracle
 (and every caller that never samples) loads neither.
@@ -115,16 +117,16 @@ def exact_moment_first_principles(i: int, k: int, a: int,
     return Fraction(total, 1 << e) / Fraction(lam) ** a
 
 
-def gap_sums(seed: int, streams, width: int) -> np.ndarray:
+def gap_sums(seed: int, streams, width: int, signed: int = 0) -> np.ndarray:
     """Sum along each row of log(V), minus the rate-1 gaps, all finite, of
-    counters 0..width-1 of the streams (prng.tiles yields V in (0, 1])."""
+    counters 0..width-1 of the streams, the first `signed` of them signed
+    steps (prng.tiles)."""
     import numpy as np
 
     from .prng import add_row_sums, tiles
 
     sums = np.empty(len(streams))
-    for r0, r1, c0, (g,) in tiles(seed, [streams], width):
-        np.log(g, out=g)
+    for r0, r1, c0, g in tiles(seed, streams, width, signed=signed):
         add_row_sums(sums, r0, r1, c0, g)
     return sums
 
@@ -151,7 +153,7 @@ def gamma_variates(seed: int, streams: np.ndarray, shape: int) -> np.ndarray:
     first = 0  # the attempt's first counter
     while len(draw):
         rejected = []
-        for r0, r1, _, (v,) in tiles(seed, [draw], 3, first):
+        for r0, r1, _, v in tiles(seed, draw, 3, first):
             x, t, u = v.T
             np.log(x, out=x)  # x: the normal
             x *= -2.0
@@ -273,7 +275,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
     if not 0 <= stream < 1 << 64:
         raise ValueError(f"stream must be in [0, 2^64), got {stream}")
     row = np.empty(n)
-    for r0, r1, c0, (u,) in tiles(seed, [[stream]], n):
+    for r0, r1, c0, u in tiles(seed, [stream], n):
         np.log(u[0], out=row[c0:c0 + u.shape[1]])
     return np.divide(np.cumsum(row, out=row), -lam, out=row)
 
@@ -282,10 +284,12 @@ def mc_moment(k: int, r: int, b: float, lam: float,
               samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of E|X_{k+r} - Y_k|^b (any finite real b > 0).
 
-    Pair m draws its two processes from streams 2m and 2m+1, so the
-    result is a pure function of (seed, k, r, b, lam, samples).  An
-    arrival time of shape up to _GAP_SHAPES is the sum of its gaps, a
-    later one a Gamma variate (gamma_variates); k and r are integers.
+    Pair m draws from stream 2m, and off the gap route Y_k from stream
+    2m+1, so the result is a pure function of (seed, k, r, b, lam,
+    samples); k and r are integers.  On the gap route, k + r <=
+    _GAP_SHAPES, X_{k+r} - Y_k is k signed steps E - E' and r gaps, k + r
+    words of stream 2m (prng.tiles); otherwise an arrival time of shape up
+    to _GAP_SHAPES is the sum of its gaps, a later one a Gamma variate.
     """
     import numpy as np
 
@@ -296,21 +300,20 @@ def mc_moment(k: int, r: int, b: float, lam: float,
     if not (k >= 1 and r >= 0 and 0 < b < math.inf and 0 < lam < math.inf):
         raise ValueError("require k >= 1, r >= 0, 0 < b < inf, 0 < lam < inf")
 
-    def arrivals(streams: np.ndarray, shape: int) -> np.ndarray:
-        # Minus the arrival times, as gap_sums gives them.
-        if shape <= _GAP_SHAPES:
-            return gap_sums(seed, streams, shape)
-        g = gamma_variates(seed, streams, shape)
-        return np.negative(g, out=g)
-
     def distances(lo: int, hi: int) -> np.ndarray:
-        # x and y are minus the arrival times, so |x - y| is unchanged;
-        # **= takes numpy's scalar-power fast paths as ** does.
+        # gap_sums gives minus the sums, which |x| does not see; **= takes
+        # numpy's scalar-power fast paths as ** does.
         streams = np.arange(lo, hi, dtype=np.uint64)
         streams *= 2
-        x = arrivals(streams, k + r)
-        streams += 1
-        x -= arrivals(streams, k)
+        if k + r <= _GAP_SHAPES:
+            x = gap_sums(seed, streams, k + r, signed=k)
+        else:
+            x = gamma_variates(seed, streams, k + r)
+            streams += 1
+            if k <= _GAP_SHAPES:
+                x += gap_sums(seed, streams, k)
+            else:
+                x -= gamma_variates(seed, streams, k)
         np.abs(x, out=x)
         x /= lam
         x **= b

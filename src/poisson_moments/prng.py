@@ -11,12 +11,13 @@ to a Weyl sequence, evaluated vectorized in numpy.  `tiles` hashes and
 converts a draw, a window of counters of each stream, one tile at a time,
 whole rows or a piece of one row, in place with one tile of scratch;
 tiles of `_TILE` words stay in cache.  It yields V = 1 - U in (0, 1], on
-the 2^-52 grid, whose log is minus a finite gap; `uniform_block` copies
-the tiles into one block.  This module alone decides the tile layout and,
-in `add_row_sums`, the row-sum order that goes with it: a row of at most
-`_TILE // _MAJOR_ROWS` = 128 words is stored counter-major and summed in
-counter order, a wider one pairwise, with the tile sums of a row wider
-than a tile added in column order.
+the 2^-52 grid, whose log is minus a finite gap, or that log, signed by
+bit 0 of the word; `uniform_block` copies the tiles into one block.  This
+module alone decides the tile layout and, in `add_row_sums`, the row-sum
+order that goes with it: a row of at most `_TILE // _MAJOR_ROWS` = 128
+words is stored counter-major and summed in counter order, a wider one
+pairwise, with the tile sums of a row wider than a tile added in column
+order.
 """
 
 from __future__ import annotations
@@ -82,46 +83,54 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return np.subtract(2.0, f, out=f)
 
 
-def tiles(seed: int, streams: list, width: int, first: int = 0):
+def tiles(seed: int, streams, width: int, first: int = 0, signed=None):
     """Walk the uniforms V in (0, 1] of counters first..first+width-1 of
-    each array of streams in streams, one tile at a time: yield (r0, r1, c0,
-    tiles), where tiles holds, per array, the (r1 - r0, m) values V of its
-    streams r0..r1-1 at counters first+c0..first+c0+m-1.  A tile is whole
-    rows, _TILE // width of them (read at call time), or _TILE columns of a
-    wider row; the walk goes down the rows, and along each row's column
-    tiles in order.  Where a full tile holds at least _MAJOR_ROWS rows,
-    every tile is stored counter-major, each counter's values for all its
-    rows together, and yielded as the same (rows, m) view, transposed.
-    Each tile is overwritten by the next."""
-    keys = [stream_keys(seed, s) for s in streams]
-    rows = len(keys[0])
+    each stream, one tile at a time: yield (r0, r1, c0, tile), where tile
+    holds the (r1 - r0, m) values V of streams r0..r1-1 at counters
+    first+c0..first+c0+m-1.  A tile is whole rows, _TILE // width of them
+    (read at call time), or _TILE columns of a wider row; the walk goes down
+    the rows, and along each row's column tiles in order.  Where a full tile
+    holds at least _MAJOR_ROWS rows, every tile is stored counter-major,
+    each counter's values for all its rows together, and yielded as the
+    same (rows, m) view, transposed.  Each tile is overwritten by the next.
+
+    Given signed = s, a tile holds log V, minus a gap E per counter, and
+    the first s counters of the window are signed steps S E, the sign S
+    from bit 0 of the word, which V does not use: Laplace(0, 1), the law of
+    a difference E - E' of gaps, from one word."""
+    keys = stream_keys(seed, streams)
+    rows = len(keys)
     cols = min(width, _TILE) or 1        # columns per tile
     step = _TILE // cols                 # rows per tile
     major = _counter_major(cols)
     counters = np.arange(1, cols + 1, dtype=np.uint64) * _GOLDEN  # Weyl steps
-    # One allocation holds the scratch and a tile of each array.  Freed
-    # whole, it raises glibc's dynamic mmap and trim thresholds past a
-    # slice's working set, so that later calls reuse heap pages instead of
-    # faulting in fresh ones (x86_64).
+    # One allocation holds the tile and its scratch.  Freed whole, it raises
+    # glibc's dynamic mmap and trim thresholds past a slice's working set,
+    # so that later calls reuse heap pages instead of faulting in fresh ones
+    # (x86_64).
     size = min(rows, step) * cols
-    t, *buf = np.empty((len(keys) + 1) * size,
-                       dtype=np.uint64).reshape(len(keys) + 1, size)
+    buf, t = np.empty(2 * size, dtype=np.uint64).reshape(2, size)
     for r0 in range(0, rows, step):
         r1 = min(r0 + step, rows)
         for c0 in range(0, width, cols):
             m = min(cols, width - c0)
-            out = []
-            for b, k in zip(buf, keys):
-                k = k[r0:r1]
-                if first + c0:
-                    k = k + np.uint64((first + c0) * int(_GOLDEN) & _MASK)
-                words = b[:(r1 - r0) * m]
-                tile = (words.reshape(m, r1 - r0).T if major
-                        else words.reshape(r1 - r0, m))
-                np.add(k[:, None], counters[:m], out=tile)
-                _to_uniform(_finalize(words, t[:words.size]))
-                out.append(tile.view(np.float64))
-            yield r0, r1, c0, out
+            k = keys[r0:r1]
+            if first + c0:
+                k = k + np.uint64((first + c0) * int(_GOLDEN) & _MASK)
+            words, scratch = buf[:(r1 - r0) * m], t[:(r1 - r0) * m]
+            tile, sign = ((a.reshape(m, r1 - r0).T if major
+                           else a.reshape(r1 - r0, m)) for a in (words, scratch))
+            np.add(k[:, None], counters[:m], out=tile)
+            _finalize(words, scratch)
+            s = min(m, max(0, (signed or 0) - c0))  # signed columns here
+            if s:  # each sign bit, kept while the word still holds it
+                np.left_shift(tile[:, :s], np.uint64(63), out=sign[:, :s])
+            f = _to_uniform(words)
+            if signed is not None:
+                np.log(f, out=f)
+            if s:
+                np.bitwise_xor(tile[:, :s], sign[:, :s], out=tile[:, :s])
+            yield r0, r1, c0, tile.view(np.float64)
 
 
 def add_row_sums(sums: np.ndarray, r0: int, r1: int, c0: int, tile):
@@ -142,6 +151,6 @@ def uniform_block(seed: int, streams: np.ndarray, n: int) -> np.ndarray:
     """The uniforms V in (0, 1] that tiles yields for counters 0..n-1 of
     many streams, as one block of shape (len(streams), n)."""
     out = np.empty((len(streams), n))
-    for r0, r1, c0, (u,) in tiles(seed, [streams], n):
+    for r0, r1, c0, u in tiles(seed, streams, n):
         out[r0:r1, c0:c0 + u.shape[1]] = u
     return out

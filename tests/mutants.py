@@ -78,8 +78,8 @@ MUTANTS = [
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
             "[17-70000-mc_sorted_cost]"]),
     Mutant("no-per-tile-key-offset", _PRNG,
-           "                if first + c0:\n"
-           "                    k = k + np.uint64((first + c0) * int(_GOLDEN)"
+           "            if first + c0:\n"
+           "                k = k + np.uint64((first + c0) * int(_GOLDEN)"
            " & _MASK)\n",
            "",
            [_ORACLES + "TestPrng::test_kernel_matches_the_reference[0-17-7]",
@@ -111,10 +111,29 @@ MUTANTS = [
             _ORACLES + "TestFusedSamplers::test_sorted_costs_are_near_the_exact"
             "_sum[7]"]),
     Mutant("first-gap-dropped", _PRNG,
-           "                out.append(tile.view(np.float64))\n",
-           "                out.append(tile.view(np.float64))\n"
-           "                out[-1][:, 0] = 1.0\n",
+           "            f = _to_uniform(words)\n",
+           "            f = _to_uniform(words)\n"
+           "            tile.view(np.float64)[:, 0] = 1.0\n",
            _GOLDENS),
+    # Every column tile of a row signs its first s columns afresh.
+    Mutant("signed-steps-restart-per-column-tile", _PRNG,
+           "(signed or 0) - c0", "(signed or 0)",
+           [_ORACLES + "TestMcMoment::test_signed_steps_span_column_tiles"
+            f"[{kr}]" for kr in ("3-9", "9-3")]),
+    # The sign from the top bit, which also sets V >= 1/2: S E then has a
+    # drift, and |S E| is no longer a gap.
+    Mutant("laplace-sign-from-bit-63", _PRNG,
+           "np.left_shift(tile[:, :s], np.uint64(63), out=sign[:, :s])",
+           "np.bitwise_and(tile[:, :s], np.uint64(1 << 63), out=sign[:, :s])",
+           [_ORACLES + "TestMcMoment::test_agrees_with_closed_form",
+            _ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+            "shape[6-6]",
+            _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
+            "[17-70000-mc_sorted_cost]",
+            "tests/test_matching_lab.py::TestExpectedCost::test_mc_agrees_with_"
+            "exact",
+            _ORACLES + "TestFloatReferences::test_mc_sorted_cost_at_non_"
+            "integer_b[8-0.5]"]),
     Mutant("seeds-wrap", _PRNG,
            "    if not 0 <= seed <= _MASK:\n"
            "        raise ValueError(f\"seed must be in [0, 2^64), got {seed}\")\n",
@@ -140,6 +159,12 @@ MUTANTS = [
             f"shape[{kr}]" for kr in ("12-0", "12-1", "13-0")]
            + [_ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
               "[128-33000-mc_moment]"]),
+    # At k = 1 the one step |S E| has the law of E, so only k > 1 tells.
+    Mutant("signed-steps-one-short", _ORACLES_SRC,
+           "k + r, signed=k)", "k + r, signed=k - 1)",
+           [_ORACLES + "TestMcMoment::test_agrees_with_closed_form"]
+           + [_ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+              f"shape[{kr}]" for kr in ("12-0", "6-6")]),
     Mutant("gamma-no-retry", _ORACLES_SRC,
            "            rejected.append(rows[~(u < t)])\n",
            "            rejected.append(rows[:0])\n",

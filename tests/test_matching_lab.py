@@ -85,12 +85,12 @@ class TestExpectedCost:
                 mc_sorted_cost(n, b, trials, seed=0)
 
     def test_mc_rejects_stream_addresses_that_wrap(self):
-        # Trial t draws streams 2(offset + t) and 2(offset + t) + 1, 64-bit
-        # words: an offset of 2^63 would wrap onto offset 0's streams.
-        for offset in (-1, 2 ** 63, 2 ** 63 - 9, 2 ** 64):
-            with pytest.raises(ValueError):
+        # Trial t draws stream offset + t, a 64-bit word: an offset of
+        # 2^64 - 9 with 10 trials would wrap onto stream 0.
+        for offset in (-1, 2 ** 64 - 9, 2 ** 64):
+            with pytest.raises(ValueError, match="2\\^64 - trials"):
                 mc_sorted_cost(8, 1.0, 10, 1, stream_offset=offset)
-        top = mc_sorted_cost(8, 1.0, 10, 1, stream_offset=2 ** 63 - 10)
+        top = mc_sorted_cost(8, 1.0, 10, 1, stream_offset=2 ** 64 - 10)
         assert math.isfinite(top.mean)
         assert top != mc_sorted_cost(8, 1.0, 10, 1)
 

@@ -19,7 +19,11 @@ from poisson_moments.closed_forms import (
     odd_moment_lemma2,
     odd_moment_lemma3,
 )
-from poisson_moments.matching_lab import mc_sorted_cost, scaling_experiment
+from poisson_moments.matching_lab import (
+    expected_sorted_cost_exact,
+    mc_sorted_cost,
+    scaling_experiment,
+)
 from poisson_moments.oracles import (
     MCEstimate,
     blocked_estimate,
@@ -43,8 +47,8 @@ def _reference_uniforms(words):
     return (np.uint64(1 << 52) - (words >> np.uint64(12))).astype(float) * 2.0 ** -52
 
 
-def _reference_block(seed, streams, n):
-    """The uniforms V of counters 0..n-1 of each stream, as one
+def _reference_words(seed, streams, n):
+    """The hashed words of counters 0..n-1 of each stream, as one
     (len(streams), n) block: splitmix64 in plain numpy over whole rows,
     sharing no code with prng."""
     def mix(z):
@@ -56,15 +60,30 @@ def _reference_block(seed, streams, n):
     seed_hash = mix(np.array([seed & _MASK64], dtype=np.uint64))
     keys = mix(np.asarray(streams, dtype=np.uint64) * np.uint64(_STREAM_SALT)
                ^ seed_hash)
-    words = mix(keys[:, None]
-                + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
-    return _reference_uniforms(words)
+    return mix(keys[:, None]
+               + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GOLDEN))
+
+
+def _reference_block(seed, streams, n):
+    """The uniforms V of counters 0..n-1 of each stream, as one block."""
+    return _reference_uniforms(_reference_words(seed, streams, n))
 
 
 def _reference_gaps(seed, streams, n):
     """Exp(1) gaps -log(V) of counters 0..n-1 of each stream, as one
     (len(streams), n) block of _reference_block."""
     return -np.log(_reference_block(seed, streams, n))
+
+
+def _reference_steps(seed, streams, n, signed):
+    """log V of counters 0..n-1 of each stream, minus its gaps, negated in
+    the first `signed` counters where bit 0 of the word is set: those are
+    signed steps, Laplace(0, 1) like a difference of two gaps."""
+    words = _reference_words(seed, streams, n)
+    steps = np.log(_reference_uniforms(words))
+    odd = (words[:, :signed] & np.uint64(1)).astype(bool)
+    steps[:, :signed] = np.where(odd, -steps[:, :signed], steps[:, :signed])
+    return steps
 
 
 # The declared route: arrival times of a shape up to 12 are sums of gaps,
@@ -293,9 +312,12 @@ class TestPrng:
         # V = 1 at the zero word and 2^-52 at the all-ones word, so every
         # gap is finite: exactly 0, and -log(2^-52) = 36.04 at the most.
         seed = self._seed_for(word)
-        ((_, _, _, (v,)),) = prng.tiles(seed, [[0]], 1)
+        ((_, _, _, v),) = prng.tiles(seed, [0], 1)
         assert v[0, 0] == (2.0 ** -52 if word else 1.0)
+        # Bit 0 is clear in the zero word and set in the all-ones word, so
+        # a signed step there is minus log V: the gap itself.
         for got in (-oracles.gap_sums(seed, [0], 1)[0],
+                    oracles.gap_sums(seed, [0], 1, signed=1)[0],
                     sample_arrivals(1, 1.0, seed, 0)[0]):
             assert math.isfinite(got) and got == pytest.approx(gap, rel=1e-15)
             assert got == 0.0 or word
@@ -324,7 +346,7 @@ class TestPrng:
         # two tiles of several rows; a counter-major view steps by one word
         # from row to row.
         assert {u.strides[0] < u.strides[1]
-                for _, _, _, (u,) in prng.tiles(0, [range(600)], width)} \
+                for _, _, _, u in prng.tiles(0, range(600), width)} \
             == {major}
 
     @pytest.mark.parametrize("tile", [7, prng._TILE])
@@ -369,7 +391,7 @@ class TestPrng:
         want = _reference_block(7, streams, first + width)[:, first:]
         monkeypatch.setattr(prng, "_TILE", tile)
         got = np.full((len(streams), width), np.nan)
-        for r0, r1, c0, (u,) in prng.tiles(7, [streams], width, first):
+        for r0, r1, c0, u in prng.tiles(7, streams, width, first):
             got[r0:r1, c0:c0 + u.shape[1]] = u
         assert _hex(got) == _hex(want)
 
@@ -501,14 +523,25 @@ class TestMcMoment:
     @pytest.mark.parametrize("k, r", [(12, 0), (6, 6), (1, 12), (12, 1),
                                       (1, 13), (13, 0)])
     def test_the_route_depends_only_on_the_shape(self, k, r, monkeypatch):
-        # Arrival times of shape up to 12 are sums of gaps, larger ones Gamma
-        # variates: every row, and the estimate over blocks of the declared
-        # width, against the references.
+        # Where k + r <= 12, X - Y is k signed steps and r gaps of one
+        # stream; otherwise arrival times of shape up to 12 are sums of
+        # gaps, larger ones Gamma variates: every row, and the estimate
+        # over blocks of the declared width, against the references.
         seen = TestFusedSamplers._spy(oracles, monkeypatch)
         est = mc_moment(k, r, 1.0, 1.0, 3000, 7)
         reference = _reference_distances(7, k, r, 1.0, 1.0)
         assert _hex(seen[-1](0, 3000)) == _hex(reference(0, 3000))
         assert est == blocked_estimate(reference, 3000, _block_width(k, r))
+
+    @pytest.mark.parametrize("k, r", [(3, 9), (9, 3)])
+    def test_signed_steps_span_column_tiles(self, k, r, monkeypatch):
+        # In 7-word tiles a gap-route row of 12 words spans two column
+        # tiles, and its k signed steps end in the first or the second.
+        monkeypatch.setattr(prng, "_TILE", 7)
+        seen = TestFusedSamplers._spy(oracles, monkeypatch)
+        mc_moment(k, r, 1.0, 1.0, 50, 7)
+        reference = _reference_distances(7, k, r, 1.0, 1.0)
+        assert _hex(seen[-1](0, 50)) == _hex(reference(0, 50))
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
@@ -559,7 +592,7 @@ class TestGammaVariates:
         walks = []
 
         def spy(seed, streams, width, first=0):
-            walks.append((len(streams[0]), width, first))
+            walks.append((len(streams), width, first))
             return tiles(seed, streams, width, first)
 
         tiles = prng.tiles
@@ -623,10 +656,9 @@ class TestBlockedEstimate:
     def test_peak_in_block_arrays(self, run, tiles, monkeypatch):
         # Each draw is hashed, converted, transformed and summed one tile of
         # whole rows at a time, and only per-row results leave the tile: a
-        # slice of gap sums holds 2 tiles (the draws and the scratch),
-        # mc_sorted_cost 3 (x's and y's draws and the scratch), and the
-        # rest of the half tile per slice is per-row vectors.  mc_moment
-        # draws these rows as Gamma variates, in tiles 3 words wide.
+        # slice holds 2 tiles (the draws and the scratch), and the rest of
+        # its bound is per-row vectors.  mc_moment draws these rows as
+        # Gamma variates, in tiles 3 words wide.
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             tracemalloc.start()
@@ -732,11 +764,13 @@ class TestBlockedEstimate:
         "row-cap": lambda: mc_moment(1, 1, 2.5, 0.5, 3 * (1 << 16) + 5, 8),
         "fewer-rows-than-workers": lambda: mc_moment(2, 1, 1.5, 1.0, 2, 6),
         # width 12, the widest on gaps, 5461 rows per tile: slices of 5462
-        # rows (2 workers) end in a one-row tile.  At this seed and b a
+        # rows (2 workers) end in a one-row tile.  At these seeds and b a
         # lone row summed pairwise, not in counter order, changes the
-        # estimate's last bits.
-        "one-row-tiles": lambda: mc_moment(12, 0, 2.5, 1.0, 2 * 5462, 41),
-        "sorted-cost-one-row-tiles": lambda: mc_sorted_cost(100, 1.5, 1312, 33),
+        # estimate's last bits under numpy's AVX-512, AVX2 and baseline
+        # kernels alike; few seeds do.
+        "one-row-tiles": lambda: mc_moment(12, 0, 2.5, 1.0, 2 * 5462, 787),
+        "sorted-cost-one-row-tiles": lambda: mc_sorted_cost(100, 1.5, 1312,
+                                                            1391),
         "sorted-cost": lambda: mc_sorted_cost(100, 1.5, 5000, 4),
         "scaling": lambda: scaling_experiment(1.0, [8, 16, 32], 300, 2),
     }
@@ -776,17 +810,20 @@ def _row_sums(a):
 def _reference_distances(seed, k, r, b, lam):
     def sample(lo, hi):
         pairs = np.arange(lo, hi, dtype=np.uint64)
-        x = _reference_arrivals(seed, 2 * pairs, k + r)
-        y = _reference_arrivals(seed, 2 * pairs + 1, k)
-        return (np.abs(x - y) / lam) ** b
+        if k + r <= _GAP_SHAPES:
+            # The gap route: k signed steps and r gaps of stream 2m.
+            d = _row_sums(_reference_steps(seed, 2 * pairs, k + r, k))
+        else:
+            d = (_reference_arrivals(seed, 2 * pairs, k + r)
+                 - _reference_arrivals(seed, 2 * pairs + 1, k))
+        return (np.abs(d) / lam) ** b
     return sample
 
 
 def _reference_costs(seed, n, b, stream_offset):
     def sample(lo, hi):
-        pairs = stream_offset + np.arange(lo, hi, dtype=np.uint64)
-        x = _reference_gaps(seed, 2 * pairs, n)
-        x -= _reference_gaps(seed, 2 * pairs + 1, n)
+        streams = stream_offset + np.arange(lo, hi, dtype=np.uint64)
+        x = _reference_steps(seed, streams, n, n)
         np.cumsum(x, axis=1, out=x)
         np.abs(x, out=x)
         x /= n
@@ -797,14 +834,12 @@ def _reference_costs(seed, n, b, stream_offset):
 
 def _exact_costs(seed, n, rows):
     """Each trial's b = 1 sorted cost, sum_k |X_k - Y_k| / n, summed in
-    exact arithmetic over the float gaps of _reference_gaps."""
-    pairs = np.arange(rows, dtype=np.uint64)
+    exact arithmetic over the float signed steps of _reference_steps."""
     costs = []
-    for gx, gy in zip(_reference_gaps(seed, 2 * pairs, n),
-                      _reference_gaps(seed, 2 * pairs + 1, n)):
+    for steps in _reference_steps(seed, np.arange(rows, dtype=np.uint64), n, n):
         d = total = Fraction(0)
-        for x, y in zip(gx.tolist(), gy.tolist()):
-            d += Fraction(x) - Fraction(y)
+        for x in steps.tolist():
+            d += Fraction(x)
             total += abs(d)
         costs.append(total / n)
     return costs
@@ -812,8 +847,9 @@ def _exact_costs(seed, n, rows):
 
 class TestFusedSamplers:
     """Each sampler's rows and estimate against the same expressions on
-    whole blocks of _reference_gaps and _reference_gamma, which share no
-    code with prng, by float.hex, for any tile and thread count.  gap_sums
+    whole blocks of _reference_gaps, _reference_steps and _reference_gamma,
+    which share no code with prng, by float.hex, for any tile and thread
+    count.  gap_sums
     is checked directly too, since mc_moment draws a row wider than 12
     as a Gamma variate."""
 
@@ -886,10 +922,10 @@ class TestFusedSamplers:
     @pytest.mark.parametrize("tile", [7, prng._TILE])
     def test_sorted_costs_are_near_the_exact_sum(self, tile, monkeypatch):
         # b = 1 trial costs at n = 4096, relative to the exact cost of the
-        # same float gaps.  The bound separates one running sum of the gap
-        # differences (within 5e-15 here) from one running sum of gaps per
-        # process (1e-13 to 2.3e-13 off).  7-word tiles carry the running
-        # sum 585 times.
+        # same float steps.  The bound separates one running sum of the
+        # signed steps (within 2.2e-15 here) from one running sum of gaps
+        # per process (1e-13 to 2.3e-13 off).  7-word tiles carry the
+        # running sum 585 times.
         monkeypatch.setattr(prng, "_TILE", tile)
         seen = self._spy(matching_lab, monkeypatch)
         mc_sorted_cost(4096, 1.0, 8, 5)
@@ -934,3 +970,47 @@ def test_the_top_seed_keeps_its_bits():
         _reference_distances(top, 2, 1, 1.5, 1.0), 100, 3)
     assert mc_sorted_cost(8, 1.0, 10, top) == blocked_estimate(
         _reference_costs(top, 8, 1.0, 0), 10, 8)
+
+
+# Float references for every real b > 0, from math.lgamma.  X_k - Y_k has
+# the law of sqrt(2G) Z / lam, with G ~ Gamma(k, 1) and Z ~ N(0, 1)
+# independent, so E|X_k - Y_k|^b = 2^b G((b+1)/2) G(k+b/2) / (sqrt(pi)
+# G(k) lam^b); the telescoping identity, which holds for real b, sums it
+# over k <= n at lam = n.
+def _diagonal_reference(k, b, lam):
+    return math.exp(b * math.log(2 / lam) + math.lgamma((b + 1) / 2)
+                    + math.lgamma(k + b / 2) - math.lgamma(k)
+                    - math.log(math.pi) / 2)
+
+
+def _sorted_cost_reference(n, b):
+    return math.exp((b + 1) * math.log(2) + math.lgamma((b + 1) / 2)
+                    + math.lgamma(n + 1 + b / 2) - math.lgamma(n)
+                    - math.log((2 + b) * n ** b) - math.log(math.pi) / 2)
+
+
+class TestFloatReferences:
+    @pytest.mark.parametrize("b", [1, 2, 3, 4])
+    def test_match_the_exact_forms_at_integer_b(self, b):
+        # lgamma rounds at its own size, so the error grows with k and n:
+        # 4e-14 at n = 64, 6e-13 at 512, 4e-12 at 4096.
+        for k in (1, 3, 12, 13, 40):
+            exact = diagonal_moment(k, b, Fraction(1, 2)).value
+            assert _diagonal_reference(k, b, 0.5) == pytest.approx(
+                float(exact), rel=1e-12, abs=0), k
+        for n in (8, 64, 512):
+            assert _sorted_cost_reference(n, b) == pytest.approx(
+                float(expected_sorted_cost_exact(n, b)), rel=1e-12, abs=0), n
+
+    @pytest.mark.parametrize("b", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("k", [1, 3, 12, 13, 40])
+    def test_mc_moment_at_non_integer_b(self, k, b):
+        # k up to 12 on the gap route, 13 and 40 on the Gamma route.
+        est = mc_moment(k, 0, b, 0.5, 200_000, seed=1)
+        assert abs(est.zscore(_diagonal_reference(k, b, 0.5))) <= 4, est
+
+    @pytest.mark.parametrize("b", [0.5, 1.5, 2.5])
+    @pytest.mark.parametrize("n", [8, 64])
+    def test_mc_sorted_cost_at_non_integer_b(self, n, b):
+        est = mc_sorted_cost(n, b, 20_000, seed=1)
+        assert abs(est.zscore(_sorted_cost_reference(n, b))) <= 4, est
