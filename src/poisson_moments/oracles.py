@@ -10,32 +10,32 @@ Two routes that share no code with the closed forms:
 
 Every Monte Carlo estimate draws arrival times at rate 1, divides each
 distance by the rate before raising it to b, and reduces the values with
-`blocked_estimate`, in blocks of bounded memory.  `mc_moment` sums
-X_{k+r} - Y_k with k + r <= `_GAP_SHAPES` as k signed steps E - E' and r
-gaps of one stream, a word each; otherwise an arrival time of shape
-(index) s <= `_GAP_SHAPES` from its s gaps, and a larger one as one
-Gamma(s) variate, by Marsaglia and Tsang's method from 3 uniforms per
-attempt (`gamma_variates`).  Within a block a sampler never holds a
-block-sized or row-sized array: it turns each cache-sized tile that
-`prng.tiles` draws (of whole rows, or of one wide row's columns) into
-gaps or Gamma attempts, transforms it and keeps its per-row results (row
-sums by `prng.add_row_sums`, in the order prng fixes) before the next.
-Each block's rows are sampled as contiguous slices, one per CPU the
-process may run on (fewer for a small block, and at most one per row),
-the first on the calling thread and the rest on a thread pool, and
-joined in row order.  Row i of every sampler is a pure function of its
-stream addresses (the PRNG is counter-based, every sum and running sum
-runs along the row, and a Gamma attempt reads its own row's counters
-alone), so the block, and with it every mean and stderr, is
-bit-identical for any number of threads.
-numpy is imported inside the functions that draw or reduce samples, and
-the thread pool only for blocks of several slices, so the exact oracle
-(and every caller that never samples) loads neither.
+`blocked_estimate`, in blocks of bounded memory.  `mc_moment` takes its
+route by shape: with k + r <= `_GAP_SHAPES` it sums X_{k+r} - Y_k as k
+signed steps E - E' and r gaps of one counter stream, a word each;
+otherwise X_{k+r} and Y_k are each one Gamma variate from numpy's
+`standard_gamma`, on one SFC64 stream per `_CHUNK_ROWS`-row chunk and
+arrival time (`gamma_variates`).  Within a block the gap route never
+holds a block-sized or row-sized array: it turns each cache-sized tile
+that `prng.tiles` draws (of whole rows, or of one wide row's columns)
+into gaps and keeps its row sums (by `prng.add_row_sums`, in the order
+prng fixes) before the next.  Each block's rows are sampled as
+contiguous slices, one per CPU the process may run on (fewer for a small
+block, and at most one per row or per chunk of a Gamma-route block), the
+first on the calling thread and the rest on the process's thread pool,
+and joined in row order.  Row i of every sampler is a pure function of its stream
+addresses (the PRNG is counter-based and every sum and running sum runs
+along the row), or of its chunk's stream and its place in the chunk, and
+a Gamma-route slice starts on a chunk boundary, so the block, and with
+it every mean and stderr, is bit-identical for any number of threads.
+numpy is imported inside the functions that draw or reduce samples,
+`numpy.random` only on the Gamma route, and the thread pool only for
+blocks of several slices, so the exact oracle (and every caller that
+never samples) loads none of them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from collections import namedtuple
@@ -58,13 +58,17 @@ _BLOCK_UNIFORMS = 1 << 22
 _SLICE_UNIFORMS = 1 << 15
 _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-# An arrival time of a shape up to this is a sum of gaps, of a larger one a
-# Gamma variate (gamma_variates).  On one thread of a 2-vCPU x86_64 VM with
-# numpy 2.4.6, a variate cost ~90 ns and a sum ~10 ns per gap, so they cross
-# near shape 10; a monte_carlo benchmark pass took 314, 322 and 336 ms at 9,
-# 12 and 16 here (614 ms with gaps alone).  At 12, acceptance criterion 6's
-# shapes (11 at most) stay on gaps.
+# Where k + r is at most this, mc_moment sums X_{k+r} - Y_k from one
+# counter stream, else it draws both as Gamma variates (gamma_variates).
+# On one thread of a 2-vCPU x86_64 VM with numpy 2.4.6, at 2^17 pairs, the
+# Gamma route took 1.6-2.2x as long at k + r = 3 and 4, and 0.75-0.82x at
+# 10 and 12 (ROADMAP item 11).  At 12, acceptance criterion 6's shapes
+# (11 at most) stay on the counter streams.
 _GAP_SHAPES = 12
+# Rows per Gamma-route chunk: the rows of chunk c draw their variates in
+# order from one generator per arrival time, so a slice of such rows starts
+# on a chunk boundary (blocked_estimate's grain).
+_CHUNK_ROWS = 1 << 12
 
 
 class MCEstimate(namedtuple("MCEstimate", "mean stderr")):
@@ -131,56 +135,24 @@ def gap_sums(seed: int, streams, width: int, signed: int = 0) -> np.ndarray:
     return sums
 
 
-def gamma_variates(seed: int, streams: np.ndarray, shape: int) -> np.ndarray:
-    """One Gamma(shape) variate at rate 1 per stream, for a shape above 9, by
-    Marsaglia & Tsang (2000).  With d = shape - 1/3, attempt j reads the
-    stream's counters 3j..3j+2: V1 and V2 for the normal
-    x = sqrt(-2 log V1) sin(pi (V2 - 1/2)) (Box & Muller 1958, with a
-    half-circle angle, whose sine is distributed as the full circle's
-    cosine), V3 for the test log V3 - x^2/2 < d (1 - v + log v), where
-    v = (1 + x / sqrt(9 d))^3; the first attempt that passes gives d v.
-    As V1 >= 2^-52, |x| <= sqrt(104 log 2) < 8.5, so v > 0 for every such
-    shape.  Each attempt walks counters 3j..3j+2 of the rows still rejected
-    through prng.tiles, so a row is a function of its stream alone."""
+def gamma_variates(seed: int, which: int, lo: int, hi: int,
+                   shape: int) -> np.ndarray:
+    """One Gamma(shape) variate at rate 1 for each of rows lo..hi-1, lo a
+    multiple of _CHUNK_ROWS: the rows of chunk c = row // _CHUNK_ROWS take,
+    in order, the values of numpy's standard_gamma on
+    Generator(SFC64(SeedSequence((seed, which, c)))), which = 0 for
+    X_{k+r} and 1 for Y_k."""
     import numpy as np
+    from numpy.random import SFC64, Generator, SeedSequence
 
-    from .prng import tiles
-
-    d = shape - 1 / 3
-    c = 1 / math.sqrt(9 * d)
-    out = np.empty(len(streams))
-    todo, draw = None, streams  # the rows still to draw (None: all), streams
-    first = 0  # the attempt's first counter
-    while len(draw):
-        rejected = []
-        for r0, r1, _, v in tiles(seed, draw, 3, first):
-            x, t, u = v.T
-            np.log(x, out=x)  # x: the normal
-            x *= -2.0
-            np.sqrt(x, out=x)
-            t -= 0.5
-            t *= math.pi
-            np.sin(t, out=t)
-            x *= t
-            np.multiply(x, c, out=t)  # t: 1 + x / sqrt(9 d)
-            t += 1.0
-            np.log(u, out=u)  # u: log V3 - x^2/2
-            np.square(x, out=x)
-            x *= 0.5
-            u -= x
-            np.multiply(t, t, out=x)  # x: v
-            x *= t
-            np.log(x, out=t)  # t: d (1 - v + log v)
-            t -= x
-            t += 1.0
-            t *= d
-            x *= d
-            rows = np.arange(r0, r1) if todo is None else todo[r0:r1]
-            out[rows] = x  # a rejected row is overwritten by a later attempt
-            rejected.append(rows[~(u < t)])
-        todo = np.concatenate(rejected)
-        draw = streams[todo]
-        first += 3
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+    if lo % _CHUNK_ROWS:
+        raise ValueError(f"row {lo} does not start a chunk")
+    out = np.empty(hi - lo)
+    for c0 in range(lo, hi, _CHUNK_ROWS):
+        g = Generator(SFC64(SeedSequence((seed, which, c0 // _CHUNK_ROWS))))
+        g.standard_gamma(shape, out=out[c0 - lo:min(c0 + _CHUNK_ROWS, hi) - lo])
     return out
 
 
@@ -196,16 +168,38 @@ def _sum_sq(d: np.ndarray, weight=1.0) -> tuple[float, int]:
     return float(np.sum(d)), e
 
 
-def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
+# The pool for every slice of a block but the first, as ((pid, _WORKERS),
+# pool), kept from first use so that one thread, and one glibc malloc arena,
+# serve every block.  With a pool per call, a thread that started before
+# the last had handed back its arena got a new one, which kept ~2 MB of
+# freed blocks: ~3 MB more peak RSS in the monte_carlo benchmark (x86_64).
+_POOL = None
+
+
+def _pool():
+    global _POOL
+    from concurrent.futures import ThreadPoolExecutor
+
+    key = (os.getpid(), _WORKERS)
+    if _POOL is None or _POOL[0] != key:
+        _POOL = key, ThreadPoolExecutor(_WORKERS - 1)
+    return _POOL[1]
+
+
+def blocked_estimate(sample, rows: int, width: int,
+                     grain: int = 1) -> MCEstimate:
     """Mean and stderr of the values that sample(lo, hi) returns for rows
-    lo..hi-1, where one stream draws `width` uniforms per row.  Each block
-    is sampled as contiguous row slices, one per started `_SLICE_UNIFORMS`
-    uniforms up to `_WORKERS` and the block's row count, the first on the
-    calling thread and the rest on a pool, and joined in row order (a
-    one-slice block is reduced in the array that sample returned); blocks
-    are merged in order by their (n, sum, M2) (Chan, Golub & LeVeque 1979).
-    Values beyond float range come out as inf or nan, an M2 beyond it as
-    stderr = inf.
+    lo..hi-1, where one stream draws `width` uniforms per row, or a row
+    costs about that many, and sample is called with lo a multiple of
+    `grain` alone.  Each block, of a multiple of grain rows, is sampled as
+    contiguous row slices, one per started `_SLICE_UNIFORMS` uniforms up to
+    `_WORKERS` and the block's count of started grains, cut on multiples of
+    grain (grain 1 cuts the rows evenly), the first on the calling thread
+    and the rest on the process's pool (_pool; so sample may not call
+    blocked_estimate), and joined in row order (a one-slice block is
+    reduced in the array that sample returned); blocks are merged in order
+    by their (n, sum, M2) (Chan, Golub & LeVeque 1979).  Values beyond
+    float range come out as inf or nan, an M2 beyond it as stderr = inf.
     """
     import numpy as np
 
@@ -214,25 +208,24 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
         with np.errstate(over="ignore", invalid="ignore"):
             return sample(lo, hi)
 
-    def slices(lo: int, hi: int) -> int:
-        return min(_WORKERS, hi - lo, -(-(hi - lo) * width // _SLICE_UNIFORMS))
+    def grains(n: int) -> int:
+        return -(-n // grain)
+
+    def slices(n: int) -> int:
+        return min(_WORKERS, grains(n), -(-n * width // _SLICE_UNIFORMS))
 
     step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
+    step = max(grain, step - step % grain)
     blocks = []
     total = 0.0
-    with contextlib.ExitStack() as stack, \
-            np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         # The first block is the largest, so unless it has several slices
         # no block does, and neither the pool nor its module is loaded.
-        run = map
-        if slices(0, min(step, rows)) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            run = stack.enter_context(ThreadPoolExecutor(_WORKERS - 1)).map
+        run = _pool().map if slices(min(step, rows)) > 1 else map
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
-            w = slices(lo, hi)
-            cuts = [lo + (hi - lo) * t // w for t in range(w + 1)]
+            w, n = slices(hi - lo), grains(hi - lo)
+            cuts = [min(hi, lo + n * t // w * grain) for t in range(w + 1)]
             # The calling thread samples the first slice, which keeps part
             # of each block in the main malloc arena: with every slice on
             # pool threads, glibc held on to freed blocks in the threads'
@@ -245,6 +238,7 @@ def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
             v -= s / len(v)
             blocks.append((len(v), s / len(v), _sum_sq(v)))
             total += s
+            del v  # freed before the next block is sampled
         mean = total / rows
         n, means, parts = zip(*blocks)
         parts += (_sum_sq(np.array(means) - mean, np.array(n, dtype=float)),)
@@ -284,12 +278,11 @@ def mc_moment(k: int, r: int, b: float, lam: float,
               samples: int, seed: int) -> MCEstimate:
     """Monte Carlo estimate of E|X_{k+r} - Y_k|^b (any finite real b > 0).
 
-    Pair m draws from stream 2m, and off the gap route Y_k from stream
-    2m+1, so the result is a pure function of (seed, k, r, b, lam,
-    samples); k and r are integers.  On the gap route, k + r <=
-    _GAP_SHAPES, X_{k+r} - Y_k is k signed steps E - E' and r gaps, k + r
-    words of stream 2m (prng.tiles); otherwise an arrival time of shape up
-    to _GAP_SHAPES is the sum of its gaps, a later one a Gamma variate.
+    The route depends on the shape alone, and the result is a pure function
+    of (seed, k, r, b, lam, samples); k and r are integers.  On the gap
+    route, k + r <= _GAP_SHAPES, pair m's X_{k+r} - Y_k is k signed steps
+    E - E' and r gaps, k + r words of stream 2m (prng.tiles); otherwise it
+    is X_{k+r} - Y_k of two Gamma variates (gamma_variates).
     """
     import numpy as np
 
@@ -299,26 +292,28 @@ def mc_moment(k: int, r: int, b: float, lam: float,
         raise ValueError(f"k and r must be integers, got k={k!r}, r={r!r}")
     if not (k >= 1 and r >= 0 and 0 < b < math.inf and 0 < lam < math.inf):
         raise ValueError("require k >= 1, r >= 0, 0 < b < inf, 0 < lam < inf")
+    gaps = k + r <= _GAP_SHAPES
+    if not gaps:
+        # Loaded on the calling thread: loaded in a pool thread, OpenSSL
+        # (through secrets) kept its allocations in that thread's malloc
+        # arena, ~1.5 MB more peak RSS in the monte_carlo benchmark.
+        import numpy.random
 
     def distances(lo: int, hi: int) -> np.ndarray:
         # gap_sums gives minus the sums, which |x| does not see; **= takes
         # numpy's scalar-power fast paths as ** does.
-        streams = np.arange(lo, hi, dtype=np.uint64)
-        streams *= 2
-        if k + r <= _GAP_SHAPES:
+        if gaps:
+            streams = np.arange(lo, hi, dtype=np.uint64)
+            streams *= 2
             x = gap_sums(seed, streams, k + r, signed=k)
         else:
-            x = gamma_variates(seed, streams, k + r)
-            streams += 1
-            if k <= _GAP_SHAPES:
-                x += gap_sums(seed, streams, k)
-            else:
-                x -= gamma_variates(seed, streams, k)
+            x = gamma_variates(seed, 0, lo, hi, k + r)
+            x -= gamma_variates(seed, 1, lo, hi, k)
         np.abs(x, out=x)
         x /= lam
         x **= b
         return x
 
-    # The uniforms a stream draws per row: its shape, or a Gamma attempt's 3.
-    width = max(s if s <= _GAP_SHAPES else 3 for s in (k + r, k))
-    return blocked_estimate(distances, samples, width)
+    if gaps:
+        return blocked_estimate(distances, samples, k + r)
+    return blocked_estimate(distances, samples, 2, _CHUNK_ROWS)  # 2 variates

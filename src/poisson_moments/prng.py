@@ -8,7 +8,7 @@ streams drawn with it, and a column prefix equals the shorter block.  (The
 samplers' gaps go through numpy's `log`, whose last bits may differ
 between its SIMD kernels.)  The mixer is the splitmix64 finalizer applied
 to a Weyl sequence, evaluated vectorized in numpy.  `tiles` hashes and
-converts a draw, a window of counters of each stream, one tile at a time,
+converts a draw, counters 0..width-1 of each stream, one tile at a time,
 whole rows or a piece of one row, in place with one tile of scratch;
 tiles of `_TILE` words stay in cache.  It yields V = 1 - U in (0, 1], on
 the 2^-52 grid, whose log is minus a finite gap, or that log, signed by
@@ -83,19 +83,19 @@ def _to_uniform(words: np.ndarray) -> np.ndarray:
     return np.subtract(2.0, f, out=f)
 
 
-def tiles(seed: int, streams, width: int, first: int = 0, signed=None):
-    """Walk the uniforms V in (0, 1] of counters first..first+width-1 of
-    each stream, one tile at a time: yield (r0, r1, c0, tile), where tile
-    holds the (r1 - r0, m) values V of streams r0..r1-1 at counters
-    first+c0..first+c0+m-1.  A tile is whole rows, _TILE // width of them
-    (read at call time), or _TILE columns of a wider row; the walk goes down
-    the rows, and along each row's column tiles in order.  Where a full tile
-    holds at least _MAJOR_ROWS rows, every tile is stored counter-major,
-    each counter's values for all its rows together, and yielded as the
-    same (rows, m) view, transposed.  Each tile is overwritten by the next.
+def tiles(seed: int, streams, width: int, signed=None):
+    """Walk the uniforms V in (0, 1] of counters 0..width-1 of each stream,
+    one tile at a time: yield (r0, r1, c0, tile), where tile holds the
+    (r1 - r0, m) values V of streams r0..r1-1 at counters c0..c0+m-1.  A
+    tile is whole rows, _TILE // width of them (read at call time), or
+    _TILE columns of a wider row; the walk goes down the rows, and along
+    each row's column tiles in order.  Where a full tile holds at least
+    _MAJOR_ROWS rows, every tile is stored counter-major, each counter's
+    values for all its rows together, and yielded as the same (rows, m)
+    view, transposed.  Each tile is overwritten by the next.
 
     Given signed = s, a tile holds log V, minus a gap E per counter, and
-    the first s counters of the window are signed steps S E, the sign S
+    the first s counters of each row are signed steps S E, the sign S
     from bit 0 of the word, which V does not use: Laplace(0, 1), the law of
     a difference E - E' of gaps, from one word."""
     keys = stream_keys(seed, streams)
@@ -115,8 +115,8 @@ def tiles(seed: int, streams, width: int, first: int = 0, signed=None):
         for c0 in range(0, width, cols):
             m = min(cols, width - c0)
             k = keys[r0:r1]
-            if first + c0:
-                k = k + np.uint64((first + c0) * int(_GOLDEN) & _MASK)
+            if c0:
+                k = k + np.uint64(c0 * int(_GOLDEN) & _MASK)
             words, scratch = buf[:(r1 - r0) * m], t[:(r1 - r0) * m]
             tile, sign = ((a.reshape(m, r1 - r0).T if major
                            else a.reshape(r1 - r0, m)) for a in (words, scratch))

@@ -78,9 +78,8 @@ MUTANTS = [
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
             "[17-70000-mc_sorted_cost]"]),
     Mutant("no-per-tile-key-offset", _PRNG,
-           "            if first + c0:\n"
-           "                k = k + np.uint64((first + c0) * int(_GOLDEN)"
-           " & _MASK)\n",
+           "            if c0:\n"
+           "                k = k + np.uint64(c0 * int(_GOLDEN) & _MASK)\n",
            "",
            [_ORACLES + "TestPrng::test_kernel_matches_the_reference[0-17-7]",
             _ORACLES + "TestPrng::test_kernel_matches_the_reference[7-1000-7]",
@@ -88,18 +87,6 @@ MUTANTS = [
             "[70001-3-gap_sums]",
             _ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
             "[70001-3-mc_sorted_cost]"]),
-    # Shifts every window and later column tile by one counter.  (Dropping
-    # first from the offset instead would redraw a rejected Gamma row's
-    # counters 0..2 forever.)
-    Mutant("window-one-counter-late", _PRNG,
-           "(first + c0) * int(_GOLDEN)", "(first + c0 + 1) * int(_GOLDEN)",
-           [_ORACLES + "TestPrng::test_a_window_is_the_block_past_its_first_"
-            f"counter[{case}]"
-            for case in ("7-17-0", "65536-3-1", "65536-65537-70000")]
-           + [_ORACLES + "TestGammaVariates::test_rows_match_the_reference"
-              "[13-65536]",
-              _ORACLES + "TestGammaVariates::test_each_attempt_walks_its_own_"
-              "three_counters"]),
     Mutant("sorted-cost-drops-the-carry", "poisson_moments/matching_lab.py",
            "            if c0:\n"
            "                x[:, 0] += carry\n",
@@ -144,36 +131,69 @@ MUTANTS = [
            + ["tests/test_cli.py::TestInputDomain::test_seed_outside_64_bits"
               f"[{sub}-{seed}]"
               for sub in ("simulate", "matching") for seed in ("-1", 2 ** 64)]),
-    Mutant("gamma-d-minus-half", _ORACLES_SRC,
-           "    d = shape - 1 / 3\n", "    d = shape - 1 / 2\n",
-           [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
-            for s in ("13-65536", "10000-65536")]
-           + [_ORACLES + "TestGammaVariates::test_mean_and_variance_are_the_"
-              "shape[13]",
-              _ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
-              "shape[13-0]"]),
     Mutant("x-on-y-parity", _ORACLES_SRC,
-           "        streams *= 2\n",
-           "        streams *= 2\n        streams += 1\n",
+           "            streams *= 2\n",
+           "            streams *= 2\n            streams += 1\n",
            [_ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
-            f"shape[{kr}]" for kr in ("12-0", "12-1", "13-0")]
+            f"shape[{kr}]" for kr in ("12-0", "6-6")]
            + [_ORACLES + "TestFusedSamplers::test_matches_whole_blocks"
-              "[128-33000-mc_moment]"]),
+              "[1-70000-mc_moment]"]),
     # At k = 1 the one step |S E| has the law of E, so only k > 1 tells.
     Mutant("signed-steps-one-short", _ORACLES_SRC,
            "k + r, signed=k)", "k + r, signed=k - 1)",
            [_ORACLES + "TestMcMoment::test_agrees_with_closed_form"]
            + [_ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
               f"shape[{kr}]" for kr in ("12-0", "6-6")]),
-    Mutant("gamma-no-retry", _ORACLES_SRC,
-           "            rejected.append(rows[~(u < t)])\n",
-           "            rejected.append(rows[:0])\n",
+    # X and Y draw the same variates: at r = 0 every distance is 0.
+    Mutant("gamma-x-and-y-share-a-stream", _ORACLES_SRC,
+           "SeedSequence((seed, which, c0", "SeedSequence((seed, 0, c0",
            [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
-            for s in ("13-7", "13-65536")]),
-    Mutant("gamma-attempts-overlap", _ORACLES_SRC,
-           "        first += 3\n", "        first += 2\n",
+            for s in ("13-7", "13-65536")]
+           + [_ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+              f"shape[{kr}]" for kr in ("13-0", "1-13")]),
+    Mutant("gamma-chunk-key-off-by-one", _ORACLES_SRC,
+           "c0 // _CHUNK_ROWS", "c0 // _CHUNK_ROWS + 1",
            [_ORACLES + f"TestGammaVariates::test_rows_match_the_reference[{s}]"
-            for s in ("13-7", "13-65536")]),
+            for s in ("13-7", "50-65536")]
+           + [_ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+              "shape[12-1]"]),
+    # Every chunk of a call takes the stream of the call's first chunk.
+    Mutant("gamma-chunk-keyed-by-the-slice", _ORACLES_SRC,
+           "c0 // _CHUNK_ROWS", "lo // _CHUNK_ROWS",
+           [_ORACLES + "TestGammaVariates::test_rows_match_the_reference"
+            "[13-65536]",
+            _ORACLES + "TestGammaVariates::test_a_call_from_a_chunk_boundary_"
+            "is_that_slice[4096]",
+            _ORACLES + "TestMcMoment::test_the_route_depends_only_on_the_"
+            "shape[13-0]"]),
+    # numpy's SeedSequence takes any non-negative integer, so 2^64 would
+    # draw a stream of its own and -1 raise numpy's own error.
+    Mutant("gamma-seeds-unchecked", _ORACLES_SRC,
+           "    if not 0 <= seed < 1 << 64:\n"
+           "        raise ValueError(f\"seed must be in [0, 2^64), got {seed}\")\n",
+           "",
+           [_ORACLES + f"test_seeds_outside_64_bits_raise[mc_moment_k13-{seed}]"
+            for seed in ("minus_one", "2_to_64")]
+           + ["tests/test_cli.py::TestInputDomain::test_seed_outside_64_bits"
+              f"[simulate-k13-{seed}]" for seed in ("-1", 2 ** 64)]),
+    # A new pool, so a new thread, for every call.
+    Mutant("pool-per-call", _ORACLES_SRC,
+           "if _POOL is None or _POOL[0] != key:", "if True:",
+           [_ORACLES + "TestBlockedEstimate::test_one_pool_serves_every_call"]),
+    # The gap route loads numpy.random, which it never uses.
+    Mutant("numpy-random-on-the-gap-route", _ORACLES_SRC,
+           "    if not gaps:\n        # Loaded on",
+           "    if gaps:\n        # Loaded on",
+           ["tests/test_cli.py::TestDependencies::test_only_the_gamma_route_"
+            "loads_numpy_random[12-False]"]),
+    # Slices cut evenly, as at grain 1: a Gamma-route slice then starts
+    # inside a chunk.
+    Mutant("slice-cut-ignores-grain", _ORACLES_SRC,
+           "min(hi, lo + n * t // w * grain)", "lo + (hi - lo) * t // w",
+           [_ORACLES + "TestBlockedEstimate::test_cuts_land_on_the_grain"
+            f"[{case}]" for case in ("two-grains", "block-of-16-grains")]
+           + [_ORACLES + "TestBlockedEstimate::test_bits_do_not_depend_on_"
+              "workers[several-blocks]"]),
     Mutant("diagonal-one-factor-up", _CLOSED,
            "k - 1 + a // 2", "k + a // 2",
            ["tests/test_closed_forms.py::TestSpotValues::test_diagonal_examples",

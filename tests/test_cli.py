@@ -194,6 +194,20 @@ class TestDependencies:
         if argv == ["verify"]:
             assert sum(suite["cases"] for suite in results.values()) == 1188
 
+    @pytest.mark.parametrize("k, loaded", [(12, False), (13, True)])
+    def test_only_the_gamma_route_loads_numpy_random(self, k, loaded):
+        # numpy.random brings in OpenSSL (through secrets), ~6 MB of RSS that
+        # simulate at k + r <= 12 does not need.
+        code = ("import sys; from poisson_moments import cli; "
+                f"cli.main(['simulate', '--k', '{k}', '--b', '1.5', "
+                "'--samples', '100']); "
+                "print('numpy.random' in sys.modules, file=sys.stderr)")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"{loaded}\n"
+
 
 class TestBrokenPipe:
     @pytest.mark.parametrize("argv", [
@@ -322,10 +336,12 @@ class TestInputDomain:
 
     @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
     @pytest.mark.parametrize("sub", [["simulate", "--k", "1"],
-                                     ["matching", "--n-max", "16"]],
-                             ids=["simulate", "matching"])
+                                     ["matching", "--n-max", "16"],
+                                     ["simulate", "--k", "13"]],
+                             ids=["simulate", "matching", "simulate-k13"])
     def test_seed_outside_64_bits(self, sub, seed, capsys):
         # -1 used to draw the streams of seed 2^64 - 1, and be recorded as -1.
+        # At k = 13 the Gamma route checks the seed itself.
         assert cli.main([*sub, "--b", "1", "--seed", seed]) == 2
         assert capsys.readouterr() == (
             "", f"error: seed must be in [0, 2^64), got {seed}\n")

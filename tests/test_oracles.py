@@ -86,51 +86,30 @@ def _reference_steps(seed, streams, n, signed):
     return steps
 
 
-# The declared route: arrival times of a shape up to 12 are sums of gaps,
-# of a larger shape Gamma variates.
+# The declared routes: where k + r is at most 12, X_{k+r} - Y_k is summed
+# from one counter stream; otherwise X_{k+r} and Y_k are Gamma variates, the
+# rows of each 4096-row chunk drawn in order from one numpy generator.
 _GAP_SHAPES = 12
+_CHUNK_ROWS = 4096
 
 
-def _reference_gamma(seed, streams, shape):
-    """Marsaglia & Tsang's Gamma(shape) variate of each stream, and the
-    index of the attempt that gave it, from whole blocks of
-    _reference_block: attempt j takes the normal from counters 3j and 3j+1
-    and the test's uniform from 3j+2.  The float steps are those of
-    oracles.gamma_variates, one numpy ufunc each on contiguous columns, so
-    the bits match under any SIMD dispatch of log and sin."""
-    d = shape - 1 / 3
-    c = 1 / math.sqrt(9 * d)
-    attempts = 4
-    while True:
-        v = _reference_block(seed, streams, 3 * attempts)
-        out = np.full(len(streams), np.nan)
-        took = np.full(len(streams), -1)
-        for j in range(attempts):
-            v1, v2, v3 = (np.ascontiguousarray(v[:, 3 * j + i]) for i in range(3))
-            x = np.sqrt(np.log(v1) * -2.0) * np.sin((v2 - 0.5) * math.pi)
-            t = x * c + 1.0
-            cube = t * t * t
-            passed = (np.log(v3) - np.square(x) * 0.5
-                      < (np.log(cube) - cube + 1.0) * d)
-            new = passed & (took < 0)
-            out[new] = (cube * d)[new]
-            took[new] = j
-        if np.all(took >= 0):
-            return out, took
-        attempts *= 2
+def _reference_gamma(seed, which, rows, shape):
+    """The Gamma(shape) variates of rows 0..rows-1 of arrival time `which`
+    (0 for X_{k+r}, 1 for Y_k): chunk c's rows, in order, from one
+    Generator(SFC64(SeedSequence((seed, which, c)))), with no package
+    code."""
+    return np.concatenate([
+        np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+            (seed, which, c)))).standard_gamma(
+                shape, size=min(_CHUNK_ROWS, rows - c * _CHUNK_ROWS))
+        for c in range(-(-rows // _CHUNK_ROWS))])
 
 
-def _reference_arrivals(seed, streams, shape):
-    """Minus each stream's arrival time of the given shape, on its route."""
-    if shape <= _GAP_SHAPES:
-        return -_row_sums(_reference_gaps(seed, streams, shape))
-    return -_reference_gamma(seed, streams, shape)[0]
-
-
-def _block_width(k, r):
-    """The row width mc_moment gives blocked_estimate: the uniforms a stream
-    draws per row, a Gamma attempt's 3 for a shape above 12."""
-    return max(s if s <= _GAP_SHAPES else 3 for s in (k + r, k))
+def _blocking(k, r):
+    """The row width and the cut grain that mc_moment gives
+    blocked_estimate: k + r words of one stream and grain 1 on the gap
+    route, two variates and whole chunks on the Gamma route."""
+    return (k + r, 1) if k + r <= _GAP_SHAPES else (2, _CHUNK_ROWS)
 
 
 class TestFirstPrinciplesOracle:
@@ -382,18 +361,18 @@ class TestPrng:
         (prng._TILE, prng._TILE + 1)])
     def test_a_window_is_the_block_past_its_first_counter(
             self, first, tile, width, monkeypatch):
-        # Counters first..first+width-1 of uniform_block's rows, by
-        # float.hex against the reference block, which shares no code with
-        # prng's key offsets; at widths 17 in 7-word tiles and 2^16 + 1 in
-        # full ones the window spans column tiles, and at first = 70,000 it
-        # starts past a full tile.
+        # Counters first..first+width-1 of a walk of first + width counters,
+        # by float.hex against the reference block, which shares no code
+        # with prng's per-column-tile key offsets: in 7-word tiles the
+        # window starts inside a column tile, and at first = 70,000 past a
+        # full one.
         streams = [0, 1, 12345]
         want = _reference_block(7, streams, first + width)[:, first:]
         monkeypatch.setattr(prng, "_TILE", tile)
-        got = np.full((len(streams), width), np.nan)
-        for r0, r1, c0, u in prng.tiles(7, streams, width, first):
+        got = np.full((len(streams), first + width), np.nan)
+        for r0, r1, c0, u in prng.tiles(7, streams, first + width):
             got[r0:r1, c0:c0 + u.shape[1]] = u
-        assert _hex(got) == _hex(want)
+        assert _hex(got[:, first:]) == _hex(want)
 
 
 @pytest.mark.parametrize("width", [8, 17, 100, 128, 129])
@@ -524,14 +503,14 @@ class TestMcMoment:
                                       (1, 13), (13, 0)])
     def test_the_route_depends_only_on_the_shape(self, k, r, monkeypatch):
         # Where k + r <= 12, X - Y is k signed steps and r gaps of one
-        # stream; otherwise arrival times of shape up to 12 are sums of
-        # gaps, larger ones Gamma variates: every row, and the estimate
-        # over blocks of the declared width, against the references.
+        # stream; otherwise X and Y are Gamma variates, Y's too where k is
+        # at most 12: every row, and the estimate over blocks of the
+        # declared width and grain, against the references.
         seen = TestFusedSamplers._spy(oracles, monkeypatch)
-        est = mc_moment(k, r, 1.0, 1.0, 3000, 7)
+        est = mc_moment(k, r, 1.0, 1.0, 5000, 7)
         reference = _reference_distances(7, k, r, 1.0, 1.0)
-        assert _hex(seen[-1](0, 3000)) == _hex(reference(0, 3000))
-        assert est == blocked_estimate(reference, 3000, _block_width(k, r))
+        assert _hex(seen[-1](0, 5000)) == _hex(reference(0, 5000))
+        assert est == blocked_estimate(reference, 5000, *_blocking(k, r))
 
     @pytest.mark.parametrize("k, r", [(3, 9), (9, 3)])
     def test_signed_steps_span_column_tiles(self, k, r, monkeypatch):
@@ -565,50 +544,44 @@ def _gap_estimate(width, rows):
                                         width), rows, width)
 
 
-# Streams of seed 5 whose Gamma(13) variate takes three attempts.
-_THIRD_ATTEMPT = [424950, 469138, 495984]
-
-
 class TestGammaVariates:
     @pytest.mark.parametrize("tile", [7, prng._TILE])
     @pytest.mark.parametrize("shape", [13, 50, 10 ** 4])
     def test_rows_match_the_reference(self, shape, tile, monkeypatch):
-        # By float.hex, on streams of which, at shape 13, some take a second
-        # attempt and three a third.  7-word tiles hold two rows of an
-        # attempt's 3 counters, so every attempt's walk ends in a short tile
-        # when its row count is odd.
-        rows = 2000 if tile == 7 else 30_000
+        # By float.hex, X's and Y's rows over two chunks and a short third;
+        # the route reads no tiles, so 7-word tiles change nothing.
         monkeypatch.setattr(prng, "_TILE", tile)
-        streams = np.array([*range(rows), *_THIRD_ATTEMPT], dtype=np.uint64)
-        want, took = _reference_gamma(5, streams, shape)
-        if shape == 13:
-            assert np.all(took[-3:] == 2)
-            assert np.count_nonzero(took == 1) >= 3
-        assert _hex(oracles.gamma_variates(5, streams, shape)) == _hex(want)
+        rows = 2 * _CHUNK_ROWS + 5
+        for which in (0, 1):
+            assert (_hex(oracles.gamma_variates(5, which, 0, rows, shape))
+                    == _hex(_reference_gamma(5, which, rows, shape))), which
 
-    def test_each_attempt_walks_its_own_three_counters(self, monkeypatch):
-        # Attempt j hashes counters 3j..3j+2 of the rows still rejected, and
-        # no counter of an earlier attempt; the rows match the reference.
-        walks = []
+    def test_a_shorter_call_is_a_prefix(self):
+        whole = _hex(oracles.gamma_variates(5, 0, 0, 3 * _CHUNK_ROWS, 13))
+        for rows in (1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1):
+            assert _hex(oracles.gamma_variates(5, 0, 0, rows, 13)) \
+                == whole[:rows], rows
 
-        def spy(seed, streams, width, first=0):
-            walks.append((len(streams), width, first))
-            return tiles(seed, streams, width, first)
+    @pytest.mark.parametrize("lo", [_CHUNK_ROWS, 2 * _CHUNK_ROWS])
+    def test_a_call_from_a_chunk_boundary_is_that_slice(self, lo):
+        # A slice of blocked_estimate starts on a chunk boundary and ends
+        # anywhere; its rows are those of one call from row 0.
+        whole = _hex(oracles.gamma_variates(5, 1, 0, 4 * _CHUNK_ROWS, 13))
+        for hi in (lo + 1, lo + _CHUNK_ROWS + 7, 4 * _CHUNK_ROWS):
+            assert _hex(oracles.gamma_variates(5, 1, lo, hi, 13)) \
+                == whole[lo:hi], hi
 
-        tiles = prng.tiles
-        monkeypatch.setattr(prng, "tiles", spy)
-        streams = np.array([*range(2000), *_THIRD_ATTEMPT], dtype=np.uint64)
-        want, took = _reference_gamma(5, streams, 13)
-        assert _hex(oracles.gamma_variates(5, streams, 13)) == _hex(want)
-        assert walks == [(np.count_nonzero(took >= j), 3, 3 * j)
-                         for j in range(3)]
+    def test_a_call_off_a_chunk_boundary_raises(self):
+        # Row 1 would take the first variate of chunk 0's stream.
+        with pytest.raises(ValueError, match="does not start a chunk"):
+            oracles.gamma_variates(5, 0, 1, 10, 13)
 
     @pytest.mark.parametrize("shape", [13, 14, 10 ** 4])
     def test_mean_and_variance_are_the_shape(self, shape):
         # z-tests of 4e5 variates: a sample variance has variance
         # (mu4 - s^2) / n, with mu4 = 3 s^2 + 6 s for Gamma(s).
         n = 400_000
-        g = oracles.gamma_variates(11, np.arange(n, dtype=np.uint64), shape)
+        g = oracles.gamma_variates(11, 0, 0, n, shape)
         z_mean = (np.mean(g) - shape) / math.sqrt(shape / n)
         z_var = ((np.var(g, ddof=1) - shape)
                  / math.sqrt((2 * shape ** 2 + 6 * shape) / n))
@@ -616,19 +589,19 @@ class TestGammaVariates:
 
     @pytest.mark.parametrize("shape", [13, 10 ** 6])
     def test_peak_is_three_row_vectors_and_two_tiles(self, shape):
-        # Per row, the output and the walk's keys with their scratch; then
-        # the tile walk's buffer, a tile and its scratch, in which each
-        # attempt is computed.  Nothing grows with the shape.
+        # numpy writes each chunk's variates into the output, so the output
+        # is the one row vector: far inside the counter route's three row
+        # vectors and two tiles.  Nothing grows with the shape.  The first
+        # call loads numpy.random, which is not part of the bound.
         rows = 1 << 16
-        streams = np.arange(rows, dtype=np.uint64)
+        oracles.gamma_variates(0, 0, 0, 1, shape)
         tracemalloc.start()
         try:
-            oracles.gamma_variates(0, streams, shape)
+            oracles.gamma_variates(0, 0, 0, rows, shape)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        tile = prng._TILE * 8
-        assert peak <= 3 * rows * 8 + 2 * tile, peak / tile
+        assert peak <= rows * 8 + 16_384, peak - rows * 8
 
 
 class TestBlockedEstimate:
@@ -658,7 +631,7 @@ class TestBlockedEstimate:
         # whole rows at a time, and only per-row results leave the tile: a
         # slice holds 2 tiles (the draws and the scratch), and the rest of
         # its bound is per-row vectors.  mc_moment draws these rows as
-        # Gamma variates, in tiles 3 words wide.
+        # Gamma variates, into two row vectors and no tile.
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             tracemalloc.start()
@@ -750,12 +723,52 @@ class TestBlockedEstimate:
         if rows == 3:
             assert {t for lo, hi, t in seen} == {threading.get_ident()}
 
+    def test_one_pool_serves_every_call(self, monkeypatch):
+        # Its thread, and the malloc arena that thread holds, outlive a call:
+        # 4096 rows of 2^10 uniforms make one block of two slices.
+        def sample(lo, hi):
+            names.add(threading.current_thread().name)
+            return np.ones(hi - lo)
+
+        monkeypatch.setattr(oracles, "_WORKERS", 2)
+        names = set()
+        for _ in range(3):
+            blocked_estimate(sample, 4096, 1 << 10)
+        assert len(names - {threading.current_thread().name}) == 1, names
+
+    @pytest.mark.parametrize("rows, width, grain, workers, calls", [
+        # grain 1 cuts as test_calling_thread_samples_the_first_slice
+        (4097, 1 << 10, 1, 3, [(0, 1365), (1365, 2730), (2730, 4096),
+                               (4096, 4097)]),
+        # 2 started grains: 2 slices, not 3, and the first not empty
+        (5000, 64, 4096, 3, [(0, 4096), (4096, 5000)]),
+        # 16 grains a block: cut after grains 5 and 10, then a short block
+        ((1 << 16) + 5, 64, 4096, 3, [(0, 20480), (20480, 40960),
+                                      (40960, 65536), (65536, 65541)]),
+        # 2^22 // 838 = 5005 rows a block, cut back to one grain
+        (10_000, 838, 4096, 3, [(0, 4096), (4096, 8192), (8192, 10_000)]),
+    ], ids=["grain-1", "two-grains", "block-of-16-grains", "block-of-a-grain"])
+    def test_cuts_land_on_the_grain(self, rows, width, grain, workers, calls,
+                                    monkeypatch):
+        # Every block and slice starts on a multiple of the grain, none is
+        # empty, and together they cover the rows in order.
+        def sample(lo, hi):
+            seen.append((lo, hi))
+            return np.ones(hi - lo)
+
+        monkeypatch.setattr(oracles, "_WORKERS", workers)
+        seen = []
+        est = blocked_estimate(sample, rows, width, grain)
+        assert (est.mean, est.stderr) == (1.0, 0.0)
+        assert sorted(seen) == calls
+
     _WORKER_RUNS = {
-        # Gamma route: blocks at the 2^16-row cap, then a 5-row block, with
-        # rows that take a second attempt in each slice of 2 workers
+        # Gamma route: blocks at the 2^16-row cap, then a 5-row block; 3
+        # workers cut a block of 16 chunks after chunks 5 and 10
         "several-blocks": lambda: mc_moment(256, 16, 1.5, 1.0,
                                             2 * (1 << 16) + 5, 3),
-        # X of shape 15 on the Gamma route, Y of shape 10 on gaps
+        # X of shape 15 and Y of shape 10, both Gamma variates, over 10
+        # chunks and a short one
         "gamma-and-gaps": lambda: mc_moment(10, 5, 2.5, 1.0, 40_000, 4),
         # width 272: 15420 rows per block, so 3 blocks, the last short
         "sorted-cost-several-blocks": lambda: mc_sorted_cost(
@@ -809,13 +822,13 @@ def _row_sums(a):
 
 def _reference_distances(seed, k, r, b, lam):
     def sample(lo, hi):
-        pairs = np.arange(lo, hi, dtype=np.uint64)
         if k + r <= _GAP_SHAPES:
             # The gap route: k signed steps and r gaps of stream 2m.
+            pairs = np.arange(lo, hi, dtype=np.uint64)
             d = _row_sums(_reference_steps(seed, 2 * pairs, k + r, k))
         else:
-            d = (_reference_arrivals(seed, 2 * pairs, k + r)
-                 - _reference_arrivals(seed, 2 * pairs + 1, k))
+            d = (_reference_gamma(seed, 0, hi, k + r)
+                 - _reference_gamma(seed, 1, hi, k))[lo:]
         return (np.abs(d) / lam) ** b
     return sample
 
@@ -847,20 +860,19 @@ def _exact_costs(seed, n, rows):
 
 class TestFusedSamplers:
     """Each sampler's rows and estimate against the same expressions on
-    whole blocks of _reference_gaps, _reference_steps and _reference_gamma,
-    which share no code with prng, by float.hex, for any tile and thread
-    count.  gap_sums
-    is checked directly too, since mc_moment draws a row wider than 12
-    as a Gamma variate."""
+    whole blocks of _reference_gaps and _reference_steps, which share no
+    code with prng, or on _reference_gamma's chunks, by float.hex, for any
+    tile and thread count.  gap_sums is checked directly too, since
+    mc_moment draws X and Y as Gamma variates where k + r exceeds 12."""
 
     @staticmethod
     def _spy(module, monkeypatch):
         """The sample functions that module hands to blocked_estimate."""
         seen = []
 
-        def spy(sample, n, w):
+        def spy(sample, n, *blocking):
             seen.append(sample)
-            return blocked_estimate(sample, n, w)
+            return blocked_estimate(sample, n, *blocking)
 
         monkeypatch.setattr(module, "blocked_estimate", spy)
         return seen
@@ -868,7 +880,7 @@ class TestFusedSamplers:
     def _check(self, sampler, width, rows, monkeypatch):
         from poisson_moments import matching_lab
 
-        blocks = width
+        blocks, grain = width, 1
         if sampler == "gap_sums":
             streams = np.arange(rows, dtype=np.uint64)
             sample = lambda lo, hi: oracles.gap_sums(5, streams[lo:hi], width)
@@ -879,7 +891,7 @@ class TestFusedSamplers:
         else:
             if sampler == "mc_moment":
                 r = min(10, width - 1)
-                blocks = _block_width(width - r, r)
+                blocks, grain = _blocking(width - r, r)
                 module, reference = oracles, _reference_distances(
                     5, width - r, r, 1.5, 0.5)
                 run = lambda: mc_moment(width - r, r, 1.5, 0.5, rows, 5)
@@ -893,7 +905,7 @@ class TestFusedSamplers:
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             est = run()
-            want = blocked_estimate(reference, rows, blocks)
+            want = blocked_estimate(reference, rows, blocks, grain)
             assert [est.mean.hex(), est.stderr.hex()] == [
                 want.mean.hex(), want.stderr.hex()], workers
             assert [x.hex() for x in seen[-1](0, rows)] == want_rows
@@ -906,7 +918,7 @@ class TestFusedSamplers:
     def test_matches_whole_blocks(self, sampler, width, rows, monkeypatch):
         # Two blocks (one at width 70,001, a row wider than a tile).  Rows
         # of 128 words are the widest in counter-major tiles.  mc_moment
-        # draws X on the Gamma route from width 17 on, and Y from 128 on.
+        # draws X and Y on the Gamma route from width 17 on.
         self._check(sampler, width, rows, monkeypatch)
 
     @pytest.mark.parametrize("sampler", ["gap_sums", "mc_moment",
@@ -939,7 +951,7 @@ class TestFusedSamplers:
     def test_rows_wider_than_a_block_sum_column_chunks(self, sampler, tile,
                                                        monkeypatch):
         # With 64-uniform blocks, each block holds 3 rows of 17 or 1 row of
-        # 150 (mc_moment's Gamma rows, 3 uniforms wide, more).  With 7-word
+        # 150 (mc_moment's Gamma rows, a chunk of 4096).  With 7-word
         # tiles, those rows add their tile sums in order and carry their
         # running sums from tile to tile; with full tiles each row is one
         # tile.
@@ -951,7 +963,10 @@ class TestFusedSamplers:
 
 # A seed is one 64-bit word.  Seeds that differ by 2^64 used to draw the
 # same streams: -1 those of 2^64 - 1, and 2^64 those of 0.
+# The Gamma route checks the seed itself: numpy's SeedSequence takes any
+# non-negative integer.
 _SEEDED = {"mc_moment": lambda seed: mc_moment(2, 1, 1.5, 1.0, 100, seed),
+           "mc_moment_k13": lambda seed: mc_moment(13, 0, 1.5, 1.0, 100, seed),
            "mc_sorted_cost": lambda seed: mc_sorted_cost(8, 1.0, 10, seed),
            "sample_arrivals": lambda seed: sample_arrivals(3, 1.0, seed)}
 
@@ -968,6 +983,8 @@ def test_the_top_seed_keeps_its_bits():
     top = 2 ** 64 - 1
     assert mc_moment(2, 1, 1.5, 1.0, 100, top) == blocked_estimate(
         _reference_distances(top, 2, 1, 1.5, 1.0), 100, 3)
+    assert mc_moment(13, 0, 1.5, 1.0, 100, top) == blocked_estimate(
+        _reference_distances(top, 13, 0, 1.5, 1.0), 100, *_blocking(13, 0))
     assert mc_sorted_cost(8, 1.0, 10, top) == blocked_estimate(
         _reference_costs(top, 8, 1.0, 0), 10, 8)
 
