@@ -21,7 +21,7 @@ from itertools import permutations
 
 from .closed_forms import sum_moments
 from .exact_arith import Rat
-from .oracles import MCEstimate, blocked_estimate, sample_arrivals
+from .oracles import MCEstimate, blocked_estimate, integer, sample_arrivals
 
 __all__ = [
     "MatchingRun",
@@ -77,6 +77,7 @@ def sample_matching_run(n: int, b: float, seed: int,
                         stream_pair: int = 0) -> MatchingRun:
     """Sample one bicolored instance at the coupled rate lambda = n, with
     its sorted and brute-force optimal costs (n <= 8)."""
+    stream_pair = integer("stream_pair", stream_pair)
     if not 0 <= stream_pair < 1 << 63:
         raise ValueError(f"stream_pair must be in [0, 2^63), got {stream_pair}")
     xs = sample_arrivals(n, float(n), seed, 2 * stream_pair)
@@ -95,6 +96,8 @@ def mc_sorted_cost(n: int, b: float, trials: int, seed: int,
 
     from .prng import add_row_sums, tiles
 
+    n, trials = integer("n", n), integer("trials", trials)
+    stream_offset = integer("stream_offset", stream_offset)
     if trials < 2:
         raise ValueError(f"need at least 2 trials, got {trials}")
     if not (n >= 1 and 0 < b < math.inf):

@@ -20,14 +20,14 @@ holds a block-sized or row-sized array: it turns each cache-sized tile
 that `prng.tiles` draws (of whole rows, or of one wide row's columns)
 into gaps and keeps its row sums (by `prng.add_row_sums`, in the order
 prng fixes) before the next.  Each block's rows are sampled as
-contiguous slices, one per CPU the process may run on (fewer for a small
-block, and at most one per row or per chunk of a Gamma-route block), the
-first on the calling thread and the rest on the process's thread pool,
-and joined in row order.  Row i of every sampler is a pure function of its stream
-addresses (the PRNG is counter-based and every sum and running sum runs
-along the row), or of its chunk's stream and its place in the chunk, and
-a Gamma-route slice starts on a chunk boundary, so the block, and with
-it every mean and stderr, is bit-identical for any number of threads.
+contiguous slices cut evenly, one per CPU the process may run on (fewer
+for a small block), the first on the calling thread and the rest on the
+process's thread pool, and joined in row order.  Row i of every sampler
+is a pure function of its stream addresses (the PRNG is counter-based
+and every sum and running sum runs along the row), or of its chunk's
+stream and its place in the chunk (a slice that starts inside a chunk
+re-draws the chunk's leading variates), so the block, and with it every
+mean and stderr, is bit-identical for any number of threads.
 numpy is imported inside the functions that draw or reduce samples,
 `numpy.random` only on the Gamma route, and the thread pool only for
 blocks of several slices, so the exact oracle (and every caller that
@@ -65,10 +65,17 @@ _WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 # 10 and 12 (ROADMAP item 11).  At 12, acceptance criterion 6's shapes
 # (11 at most) stay on the counter streams.
 _GAP_SHAPES = 12
-# Rows per Gamma-route chunk: the rows of chunk c draw their variates in
-# order from one generator per arrival time, so a slice of such rows starts
-# on a chunk boundary (blocked_estimate's grain).
+# Rows per Gamma-route chunk, whose rows draw in order from one generator per
+# arrival time: a generator costs ~10.5 us to build, and a slice that starts
+# inside a chunk re-draws up to a chunk of variates, so 4,096 balances them.
 _CHUNK_ROWS = 1 << 12
+
+
+def integer(name: str, value) -> int:
+    """value as a Python int; a ValueError naming it if it is no integer."""
+    if not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class MCEstimate(namedtuple("MCEstimate", "mean stderr")):
@@ -137,22 +144,22 @@ def gap_sums(seed: int, streams, width: int, signed: int = 0) -> np.ndarray:
 
 def gamma_variates(seed: int, which: int, lo: int, hi: int,
                    shape: int) -> np.ndarray:
-    """One Gamma(shape) variate at rate 1 for each of rows lo..hi-1, lo a
-    multiple of _CHUNK_ROWS: the rows of chunk c = row // _CHUNK_ROWS take,
-    in order, the values of numpy's standard_gamma on
-    Generator(SFC64(SeedSequence((seed, which, c)))), which = 0 for
-    X_{k+r} and 1 for Y_k."""
+    """One Gamma(shape) variate at rate 1 for each of rows lo..hi-1: the rows
+    of chunk c = row // _CHUNK_ROWS take, in order, the values of numpy's
+    standard_gamma on Generator(SFC64(SeedSequence((seed, which, c)))),
+    which = 0 for X_{k+r} and 1 for Y_k.  A call from inside a chunk draws
+    and drops that chunk's variates before lo."""
     import numpy as np
     from numpy.random import SFC64, Generator, SeedSequence
 
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed must be in [0, 2^64), got {seed}")
-    if lo % _CHUNK_ROWS:
-        raise ValueError(f"row {lo} does not start a chunk")
     out = np.empty(hi - lo)
-    for c0 in range(lo, hi, _CHUNK_ROWS):
+    for c0 in range(lo - lo % _CHUNK_ROWS, hi, _CHUNK_ROWS):
         g = Generator(SFC64(SeedSequence((seed, which, c0 // _CHUNK_ROWS))))
-        g.standard_gamma(shape, out=out[c0 - lo:min(c0 + _CHUNK_ROWS, hi) - lo])
+        if c0 < lo:
+            g.standard_gamma(shape, size=lo - c0)
+        g.standard_gamma(shape, out=out[max(c0 - lo, 0):c0 - lo + _CHUNK_ROWS])
     return out
 
 
@@ -186,16 +193,13 @@ def _pool():
     return _POOL[1]
 
 
-def blocked_estimate(sample, rows: int, width: int,
-                     grain: int = 1) -> MCEstimate:
+def blocked_estimate(sample, rows: int, width: int) -> MCEstimate:
     """Mean and stderr of the values that sample(lo, hi) returns for rows
-    lo..hi-1, where one stream draws `width` uniforms per row, or a row
-    costs about that many, and sample is called with lo a multiple of
-    `grain` alone.  Each block, of a multiple of grain rows, is sampled as
-    contiguous row slices, one per started `_SLICE_UNIFORMS` uniforms up to
-    `_WORKERS` and the block's count of started grains, cut on multiples of
-    grain (grain 1 cuts the rows evenly), the first on the calling thread
-    and the rest on the process's pool (_pool; so sample may not call
+    lo..hi-1, for any lo, where one stream draws `width` uniforms per row,
+    or a row costs about that many.  Each block is sampled as contiguous row
+    slices cut evenly, one per started `_SLICE_UNIFORMS` uniforms up to
+    `_WORKERS` and the block's rows, the first on the calling thread and the
+    rest on the process's pool (_pool; so sample may not call
     blocked_estimate), and joined in row order (a one-slice block is
     reduced in the array that sample returned); blocks are merged in order
     by their (n, sum, M2) (Chan, Golub & LeVeque 1979).  Values beyond
@@ -208,14 +212,10 @@ def blocked_estimate(sample, rows: int, width: int,
         with np.errstate(over="ignore", invalid="ignore"):
             return sample(lo, hi)
 
-    def grains(n: int) -> int:
-        return -(-n // grain)
-
     def slices(n: int) -> int:
-        return min(_WORKERS, grains(n), -(-n * width // _SLICE_UNIFORMS))
+        return min(_WORKERS, n, -(-n * width // _SLICE_UNIFORMS))
 
     step = min(_BLOCK_ROWS, max(1, _BLOCK_UNIFORMS // width))
-    step = max(grain, step - step % grain)
     blocks = []
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,8 +224,8 @@ def blocked_estimate(sample, rows: int, width: int,
         run = _pool().map if slices(min(step, rows)) > 1 else map
         for lo in range(0, rows, step):
             hi = min(lo + step, rows)
-            w, n = slices(hi - lo), grains(hi - lo)
-            cuts = [min(hi, lo + n * t // w * grain) for t in range(w + 1)]
+            w = slices(hi - lo)
+            cuts = [lo + (hi - lo) * t // w for t in range(w + 1)]
             # The calling thread samples the first slice, which keeps part
             # of each block in the main malloc arena: with every slice on
             # pool threads, glibc held on to freed blocks in the threads'
@@ -262,6 +262,7 @@ def sample_arrivals(n: int, lam: float, seed: int, stream: int = 0) -> np.ndarra
 
     from .prng import tiles
 
+    n, stream = integer("n", n), integer("stream", stream)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if not 0 < lam < math.inf:
@@ -286,6 +287,7 @@ def mc_moment(k: int, r: int, b: float, lam: float,
     """
     import numpy as np
 
+    samples = integer("samples", samples)
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     if not (isinstance(k, Integral) and isinstance(r, Integral)):
@@ -314,6 +316,4 @@ def mc_moment(k: int, r: int, b: float, lam: float,
         x **= b
         return x
 
-    if gaps:
-        return blocked_estimate(distances, samples, k + r)
-    return blocked_estimate(distances, samples, 2, _CHUNK_ROWS)  # 2 variates
+    return blocked_estimate(distances, samples, k + r if gaps else 2)  # 2 variates

@@ -186,14 +186,39 @@ MUTANTS = [
            "    if gaps:\n        # Loaded on",
            ["tests/test_cli.py::TestDependencies::test_only_the_gamma_route_"
             "loads_numpy_random[12-False]"]),
-    # Slices cut evenly, as at grain 1: a Gamma-route slice then starts
-    # inside a chunk.
-    Mutant("slice-cut-ignores-grain", _ORACLES_SRC,
-           "min(hi, lo + n * t // w * grain)", "lo + (hi - lo) * t // w",
-           [_ORACLES + "TestBlockedEstimate::test_cuts_land_on_the_grain"
-            f"[{case}]" for case in ("two-grains", "block-of-16-grains")]
+    # A call from inside a chunk draws the chunk's variates from lo on,
+    # not from the chunk's first row.
+    Mutant("gamma-skip-dropped", _ORACLES_SRC,
+           "        if c0 < lo:\n"
+           "            g.standard_gamma(shape, size=lo - c0)\n",
+           "",
+           [_ORACLES + "TestGammaVariates::test_a_call_from_inside_a_chunk_"
+            f"is_that_slice[{lo}]" for lo in (1, 4095, 4097, 8197)]
            + [_ORACLES + "TestBlockedEstimate::test_bits_do_not_depend_on_"
-              "workers[several-blocks]"]),
+              f"workers[{run}]"
+              for run in ("gamma-cut-inside-a-chunk", "several-blocks")]),
+    # Row lo takes the variate of row lo - 1.
+    Mutant("gamma-skip-one-short", _ORACLES_SRC,
+           "size=lo - c0)", "size=lo - c0 - 1)",
+           [_ORACLES + "TestGammaVariates::test_a_call_from_inside_a_chunk_"
+            f"is_that_slice[{lo}]" for lo in (4095, 8197)]
+           + [_ORACLES + "TestBlockedEstimate::test_bits_do_not_depend_on_"
+              "workers[gamma-cut-inside-a-chunk]"]),
+    # The chunks of a call start at lo: every chunk after the first is
+    # drawn from a row off its boundary.
+    Mutant("gamma-first-chunk-from-lo", _ORACLES_SRC,
+           "range(lo - lo % _CHUNK_ROWS, hi", "range(lo, hi",
+           [_ORACLES + "TestGammaVariates::test_a_call_from_inside_a_chunk_"
+            f"is_that_slice[{lo}]" for lo in (1, 4097)]
+           + [_ORACLES + "TestBlockedEstimate::test_bits_do_not_depend_on_"
+              "workers[gamma-cut-inside-a-chunk]"]),
+    # A numpy integer passes as itself: 2^64 - trials overflows in
+    # mc_sorted_cost, and mc_moment's mean is a numpy float.
+    Mutant("sizes-not-made-python-ints", _ORACLES_SRC,
+           "    return int(value)\n", "    return value\n",
+           [_ORACLES + f"test_a_numpy_integer_size_is_a_python_int[{call}]"
+            for call in ("mc_moment-samples", "mc_moment_k13-samples",
+                         "mc_sorted_cost-trials")]),
     Mutant("diagonal-one-factor-up", _CLOSED,
            "k - 1 + a // 2", "k + a // 2",
            ["tests/test_closed_forms.py::TestSpotValues::test_diagonal_examples",

@@ -106,10 +106,9 @@ def _reference_gamma(seed, which, rows, shape):
 
 
 def _blocking(k, r):
-    """The row width and the cut grain that mc_moment gives
-    blocked_estimate: k + r words of one stream and grain 1 on the gap
-    route, two variates and whole chunks on the Gamma route."""
-    return (k + r, 1) if k + r <= _GAP_SHAPES else (2, _CHUNK_ROWS)
+    """The row width that mc_moment gives blocked_estimate: k + r words of
+    one stream on the gap route, two variates on the Gamma route."""
+    return k + r if k + r <= _GAP_SHAPES else 2
 
 
 class TestFirstPrinciplesOracle:
@@ -505,12 +504,12 @@ class TestMcMoment:
         # Where k + r <= 12, X - Y is k signed steps and r gaps of one
         # stream; otherwise X and Y are Gamma variates, Y's too where k is
         # at most 12: every row, and the estimate over blocks of the
-        # declared width and grain, against the references.
+        # declared width, against the references.
         seen = TestFusedSamplers._spy(oracles, monkeypatch)
         est = mc_moment(k, r, 1.0, 1.0, 5000, 7)
         reference = _reference_distances(7, k, r, 1.0, 1.0)
         assert _hex(seen[-1](0, 5000)) == _hex(reference(0, 5000))
-        assert est == blocked_estimate(reference, 5000, *_blocking(k, r))
+        assert est == blocked_estimate(reference, 5000, _blocking(k, r))
 
     @pytest.mark.parametrize("k, r", [(3, 9), (9, 3)])
     def test_signed_steps_span_column_tiles(self, k, r, monkeypatch):
@@ -564,17 +563,23 @@ class TestGammaVariates:
 
     @pytest.mark.parametrize("lo", [_CHUNK_ROWS, 2 * _CHUNK_ROWS])
     def test_a_call_from_a_chunk_boundary_is_that_slice(self, lo):
-        # A slice of blocked_estimate starts on a chunk boundary and ends
-        # anywhere; its rows are those of one call from row 0.
+        # A slice of blocked_estimate that starts on a chunk boundary and
+        # ends anywhere: its rows are those of one call from row 0.
         whole = _hex(oracles.gamma_variates(5, 1, 0, 4 * _CHUNK_ROWS, 13))
         for hi in (lo + 1, lo + _CHUNK_ROWS + 7, 4 * _CHUNK_ROWS):
             assert _hex(oracles.gamma_variates(5, 1, lo, hi, 13)) \
                 == whole[lo:hi], hi
 
-    def test_a_call_off_a_chunk_boundary_raises(self):
-        # Row 1 would take the first variate of chunk 0's stream.
-        with pytest.raises(ValueError, match="does not start a chunk"):
-            oracles.gamma_variates(5, 0, 1, 10, 13)
+    @pytest.mark.parametrize("lo", [1, _CHUNK_ROWS - 1, _CHUNK_ROWS + 1,
+                                    2 * _CHUNK_ROWS + 5])
+    def test_a_call_from_inside_a_chunk_is_that_slice(self, lo):
+        # The call re-draws the variates of lo's chunk before lo, so a slice
+        # that ends in that chunk, one chunk on or at the last row is that
+        # slice of one call from row 0.
+        whole = _hex(oracles.gamma_variates(5, 0, 0, 4 * _CHUNK_ROWS, 13))
+        for hi in (lo + 1, lo + _CHUNK_ROWS, 4 * _CHUNK_ROWS):
+            assert _hex(oracles.gamma_variates(5, 0, lo, hi, 13)) \
+                == whole[lo:hi], hi
 
     @pytest.mark.parametrize("shape", [13, 14, 10 ** 4])
     def test_mean_and_variance_are_the_shape(self, shape):
@@ -736,37 +741,15 @@ class TestBlockedEstimate:
             blocked_estimate(sample, 4096, 1 << 10)
         assert len(names - {threading.current_thread().name}) == 1, names
 
-    @pytest.mark.parametrize("rows, width, grain, workers, calls", [
-        # grain 1 cuts as test_calling_thread_samples_the_first_slice
-        (4097, 1 << 10, 1, 3, [(0, 1365), (1365, 2730), (2730, 4096),
-                               (4096, 4097)]),
-        # 2 started grains: 2 slices, not 3, and the first not empty
-        (5000, 64, 4096, 3, [(0, 4096), (4096, 5000)]),
-        # 16 grains a block: cut after grains 5 and 10, then a short block
-        ((1 << 16) + 5, 64, 4096, 3, [(0, 20480), (20480, 40960),
-                                      (40960, 65536), (65536, 65541)]),
-        # 2^22 // 838 = 5005 rows a block, cut back to one grain
-        (10_000, 838, 4096, 3, [(0, 4096), (4096, 8192), (8192, 10_000)]),
-    ], ids=["grain-1", "two-grains", "block-of-16-grains", "block-of-a-grain"])
-    def test_cuts_land_on_the_grain(self, rows, width, grain, workers, calls,
-                                    monkeypatch):
-        # Every block and slice starts on a multiple of the grain, none is
-        # empty, and together they cover the rows in order.
-        def sample(lo, hi):
-            seen.append((lo, hi))
-            return np.ones(hi - lo)
-
-        monkeypatch.setattr(oracles, "_WORKERS", workers)
-        seen = []
-        est = blocked_estimate(sample, rows, width, grain)
-        assert (est.mean, est.stderr) == (1.0, 0.0)
-        assert sorted(seen) == calls
-
     _WORKER_RUNS = {
         # Gamma route: blocks at the 2^16-row cap, then a 5-row block; 3
-        # workers cut a block of 16 chunks after chunks 5 and 10
+        # workers cut a block of 16 chunks inside chunks 5 and 10, 2 on
+        # the boundary after chunk 7
         "several-blocks": lambda: mc_moment(256, 16, 1.5, 1.0,
                                             2 * (1 << 16) + 5, 3),
+        # one block of 20,000 Gamma rows: 2 workers cut it inside chunk 2
+        "gamma-cut-inside-a-chunk": lambda: mc_moment(13, 2, 1.5, 1.0,
+                                                      20_000, 9),
         # X of shape 15 and Y of shape 10, both Gamma variates, over 10
         # chunks and a short one
         "gamma-and-gaps": lambda: mc_moment(10, 5, 2.5, 1.0, 40_000, 4),
@@ -870,9 +853,9 @@ class TestFusedSamplers:
         """The sample functions that module hands to blocked_estimate."""
         seen = []
 
-        def spy(sample, n, *blocking):
+        def spy(sample, n, width):
             seen.append(sample)
-            return blocked_estimate(sample, n, *blocking)
+            return blocked_estimate(sample, n, width)
 
         monkeypatch.setattr(module, "blocked_estimate", spy)
         return seen
@@ -880,7 +863,7 @@ class TestFusedSamplers:
     def _check(self, sampler, width, rows, monkeypatch):
         from poisson_moments import matching_lab
 
-        blocks, grain = width, 1
+        blocks = width
         if sampler == "gap_sums":
             streams = np.arange(rows, dtype=np.uint64)
             sample = lambda lo, hi: oracles.gap_sums(5, streams[lo:hi], width)
@@ -891,7 +874,7 @@ class TestFusedSamplers:
         else:
             if sampler == "mc_moment":
                 r = min(10, width - 1)
-                blocks, grain = _blocking(width - r, r)
+                blocks = _blocking(width - r, r)
                 module, reference = oracles, _reference_distances(
                     5, width - r, r, 1.5, 0.5)
                 run = lambda: mc_moment(width - r, r, 1.5, 0.5, rows, 5)
@@ -905,7 +888,7 @@ class TestFusedSamplers:
         for workers in (1, 2):
             monkeypatch.setattr(oracles, "_WORKERS", workers)
             est = run()
-            want = blocked_estimate(reference, rows, blocks, grain)
+            want = blocked_estimate(reference, rows, blocks)
             assert [est.mean.hex(), est.stderr.hex()] == [
                 want.mean.hex(), want.stderr.hex()], workers
             assert [x.hex() for x in seen[-1](0, rows)] == want_rows
@@ -951,7 +934,7 @@ class TestFusedSamplers:
     def test_rows_wider_than_a_block_sum_column_chunks(self, sampler, tile,
                                                        monkeypatch):
         # With 64-uniform blocks, each block holds 3 rows of 17 or 1 row of
-        # 150 (mc_moment's Gamma rows, a chunk of 4096).  With 7-word
+        # 150 (mc_moment's Gamma rows of 2 variates, 32).  With 7-word
         # tiles, those rows add their tile sums in order and carry their
         # running sums from tile to tile; with full tiles each row is one
         # tile.
@@ -978,13 +961,49 @@ def test_seeds_outside_64_bits_raise(sampler, seed):
         _SEEDED[sampler](seed)
 
 
+# Sizes and stream addresses are integers, checked as k and r are, and used
+# as Python ints: at numpy's int64, 2^64 - trials overflowed and the mean of
+# an mc_moment was a numpy float.
+_SIZED = {
+    "mc_moment-samples": lambda i: mc_moment(2, 1, 1.5, 1.0, i(300), 0),
+    "mc_moment_k13-samples": lambda i: mc_moment(13, 0, 1.5, 1.0, i(5000), 0),
+    "mc_sorted_cost-n": lambda i: mc_sorted_cost(i(8), 1.0, 300, 0),
+    "mc_sorted_cost-trials": lambda i: mc_sorted_cost(8, 1.0, i(300), 0),
+    "mc_sorted_cost-stream_offset": lambda i: mc_sorted_cost(
+        8, 1.0, 300, 0, stream_offset=i(5)),
+    "sample_arrivals-n": lambda i: sample_arrivals(i(3), 1.0, 0),
+    "sample_arrivals-stream": lambda i: sample_arrivals(3, 1.0, 0, i(5)),
+    "sample_matching_run-stream_pair": lambda i: matching_lab.sample_matching_run(
+        3, 1.0, 0, stream_pair=i(2)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SIZED))
+def test_a_float_size_raises(call):
+    name = call.split("-")[1]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        _SIZED[call](float)
+
+
+@pytest.mark.parametrize("call", sorted(_SIZED))
+def test_a_numpy_integer_size_is_a_python_int(call):
+    def bits(out):
+        values = out.tolist() if isinstance(out, np.ndarray) else out
+        return [(type(x), float(x).hex()) for x in values]
+
+    want = _SIZED[call](int)
+    assert bits(_SIZED[call](np.int64)) == bits(want)
+    if isinstance(want, MCEstimate):
+        assert {type(x) for x in want} == {float}
+
+
 def test_the_top_seed_keeps_its_bits():
     # sample_arrivals at this seed is in test_kernel_matches_the_reference.
     top = 2 ** 64 - 1
     assert mc_moment(2, 1, 1.5, 1.0, 100, top) == blocked_estimate(
         _reference_distances(top, 2, 1, 1.5, 1.0), 100, 3)
     assert mc_moment(13, 0, 1.5, 1.0, 100, top) == blocked_estimate(
-        _reference_distances(top, 13, 0, 1.5, 1.0), 100, *_blocking(13, 0))
+        _reference_distances(top, 13, 0, 1.5, 1.0), 100, _blocking(13, 0))
     assert mc_sorted_cost(8, 1.0, 10, top) == blocked_estimate(
         _reference_costs(top, 8, 1.0, 0), 10, 8)
 
